@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-backend lint-workload serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-kernel bench-serve fuzz-sched fuzz-kernel fmt clean
+.PHONY: all build vet test race check lint-backend lint-workload perfbench-check serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-kernel bench-serve fuzz-sched fuzz-kernel fmt clean
 
 all: check
 
@@ -18,9 +18,17 @@ race:
 
 # The pre-commit gate: compile everything, vet, lint the back-end seam, run
 # the full suite under the race detector (the parallel engine is on by
-# default, so every test doubles as a race test), and hold the committed
-# benchmark baselines.
-check: build vet lint-backend lint-workload race bench-gate
+# default, so every test doubles as a race test), build and test the repo
+# benchmark, and hold the committed benchmark baselines.
+check: build vet lint-backend lint-workload race perfbench-check bench-gate
+
+# The repo benchmark (perfbench/) is a module of its own, so the root
+# `go test ./...` never compiles it — yet it builds against engine APIs
+# (sched.Keyer.ScheduleGroup, sched.HashFilters, nn.Lowered.FilterRowInto,
+# sched.Schedule.Stats). Vet and test it here so an API change that breaks
+# the benchmark fails the gate, not the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The benchmark regression gate: re-measure the kernel, scheduler, engine,
 # and serving suites and compare against the committed BENCH_*.json baselines.
@@ -42,7 +50,7 @@ bench-contention:
 # stress tests under the race detector, three times over, with the
 # eviction-accounting invariants checked across stripes.
 cache-stress:
-	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer|TestScheduleGroups'
+	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer'
 	$(GO) test -race -count=3 ./internal/sim -run 'TestPlaneCache'
 
 # Guard the back-end seam: all serial-cost semantics live behind the

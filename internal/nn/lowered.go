@@ -28,6 +28,10 @@ import (
 //	lane = (r*S+s) % L,  step = (r*S+s) / L
 //
 // and the activation fetch depends on the filter (channel) index.
+//
+// A lowering is immutable once built: its layer's weights and its input
+// activations must not change afterwards. Its content digests (GroupDigest,
+// InputDigest) and pad mask are memoised on that basis.
 type Lowered struct {
 	Name    string
 	Kind    Kind
@@ -50,6 +54,8 @@ type Lowered struct {
 
 	padOnce sync.Once
 	pad     []bool
+
+	ids digests
 }
 
 // Lower produces the lowered view of layer l with its input activations.
@@ -187,11 +193,55 @@ func (lw *Lowered) FilterRow(f int) []int32 {
 
 // FilterRowInto is FilterRow into caller-provided storage of length
 // Steps*Lanes, for engines that materialize many rows into a reused
-// arena.
+// arena. Each kind's dense layout is a strided gather out of the KCRS
+// weight tensor: channels at a fixed kernel offset for conv and FC
+// (grouped conv reads its own C/Groups slice, which is how its weights are
+// stored), the linearized (r, s, c) reduction for folded conv, and the
+// contiguous R×S kernel for depthwise. Padding slots are zero.
 func (lw *Lowered) FilterRowInto(f int, out []int32) {
-	for st := 0; st < lw.Steps; st++ {
-		for ln := 0; ln < lw.Lanes; ln++ {
-			out[st*lw.Lanes+ln] = lw.Weight(f, st, ln)
+	out = out[:lw.Steps*lw.Lanes]
+	l := lw.layer
+	w := l.Weights
+	sh := w.Shape
+	base := f * sh[1] * sh[2] * sh[3]
+	cs := sh[2] * sh[3] // channel stride
+	switch {
+	case lw.Kind == Depthwise:
+		n := copy(out, w.Data[base:base+l.R*l.S])
+		clear(out[n:])
+	case lw.folded:
+		gc := l.GroupChannels()
+		i := 0
+		for r := 0; r < l.R; r++ {
+			for s := 0; s < l.S; s++ {
+				src := w.Data[base+r*sh[3]+s:]
+				for c := 0; c < gc; c++ {
+					out[i] = src[c*cs]
+					i++
+				}
+			}
+		}
+		clear(out[i:])
+	default: // conv, grouped conv, FC
+		gc := l.C
+		if l.Kind == Conv {
+			gc = l.GroupChannels()
+		}
+		L := lw.Lanes
+		i := 0
+		for r := 0; r < l.R; r++ {
+			for s := 0; s < l.S; s++ {
+				src := w.Data[base+r*sh[3]+s:]
+				for c0 := 0; c0 < gc; c0 += L {
+					row := out[i : i+L]
+					n := min(L, gc-c0)
+					for ln := 0; ln < n; ln++ {
+						row[ln] = src[(c0+ln)*cs]
+					}
+					clear(row[n:])
+					i += L
+				}
+			}
 		}
 	}
 }

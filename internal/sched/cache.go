@@ -100,8 +100,7 @@ func NewCache(capacity int) *Cache {
 
 // stripe selects the shard for a key. The filter-content hash alone picks
 // the stripe (not the pattern-mixed h2), so one group keyed under several
-// patterns or algorithms stays on one stripe — batched lookups for a sweep
-// touch the minimum number of stripes.
+// patterns or algorithms stays on one stripe.
 func (c *Cache) stripe(h1 uint64) *cacheStripe {
 	return &c.stripes[h1&c.mask]
 }
@@ -221,80 +220,28 @@ func (c *Cache) Keyer(p Pattern, alg Algorithm) Keyer {
 // the pattern half in the Keyer, the filter-content hash (HashFilters
 // over the same filters) by the caller.
 func (k Keyer) ScheduleGroup(h1, h2 uint64, filters []Filter) []*Schedule {
-	key := groupKey{h1: h1, h2: fnvString(h2, k.pat), pattern: k.pat, alg: k.alg}
-	return k.c.lookupOrFill(key, filters, k.p, k.alg)
+	if ss, ok := k.Lookup(h1, h2); ok {
+		return ss
+	}
+	return k.Fill(h1, h2, filters)
 }
 
-// GroupRef is one filter group in a batched lookup: the group's filters
-// plus its precomputed content hash (HashFilters over the same filters).
-type GroupRef struct {
-	H1, H2  uint64
-	Filters []Filter
+// Lookup probes the cache for the group whose content hash is (h1, h2),
+// without the group's filters: a caller that memoises the hash can resolve
+// a hit without materializing a single weight. A hit counts as one lookup;
+// a miss counts nothing, and the caller completes the lookup with Fill.
+func (k Keyer) Lookup(h1, h2 uint64) ([]*Schedule, bool) {
+	return k.c.lookup(k.key(h1, h2))
 }
 
-// ScheduleGroups is the batched lookup path: it resolves every group in
-// refs under the Keyer's (pattern, algorithm) and writes the schedules
-// into out (len(out) must equal len(refs)). Instead of len(refs) separate
-// lock acquisitions, the batch takes each touched stripe's read lock
-// exactly once for the probe; misses are then scheduled outside any lock
-// and inserted with a constant number of critical sections per touched
-// stripe. Duplicate groups within one batch are detected and filled once.
-func (k Keyer) ScheduleGroups(refs []GroupRef, out [][]*Schedule) {
-	if len(out) != len(refs) {
-		panic("sched: ScheduleGroups out length mismatch")
-	}
-	if len(refs) == 0 {
-		return
-	}
-	c := k.c
-	keys := make([]groupKey, len(refs))
-	for i, r := range refs {
-		keys[i] = groupKey{h1: r.H1, h2: fnvString(r.H2, k.pat), pattern: k.pat, alg: k.alg}
-	}
-	// Probe phase: visit each touched stripe once under its read lock.
-	// order[] sorts indices by stripe so each stripe's keys are contiguous.
-	miss := make([]int, 0, len(refs))
-	done := make([]bool, len(refs))
-	for i := range refs {
-		if done[i] {
-			continue
-		}
-		s := c.stripe(keys[i].h1)
-		s.mu.RLock()
-		for j := i; j < len(refs); j++ {
-			if done[j] || c.stripe(keys[j].h1) != s {
-				continue
-			}
-			done[j] = true
-			if ss, ok := s.m[keys[j]]; ok {
-				out[j] = ss
-				s.hits.Add(1)
-			} else {
-				miss = append(miss, j)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	if len(miss) == 0 {
-		return
-	}
-	// Fill phase: compute each missed group once (batch-internal duplicates
-	// share the first computation), then insert. The schedule computation
-	// and the arena copy both run outside any stripe lock; only the slab
-	// carve and the map insert hold it.
-	first := make(map[groupKey]int, len(miss))
-	for _, j := range miss {
-		if fj, dup := first[keys[j]]; dup {
-			out[j] = out[fj]
-			c.stripe(keys[j].h1).misses.Add(1)
-			continue
-		}
-		first[keys[j]] = j
-		s := c.stripe(keys[j].h1)
-		out[j] = s.fill(refs[j].Filters, k.p, k.alg)
-		s.misses.Add(1)
-		c.insert(s, keys[j], out[j])
-	}
+// Fill schedules the group, stores the result under (h1, h2) and counts a
+// miss: the second half of a lookup whose Lookup missed.
+func (k Keyer) Fill(h1, h2 uint64, filters []Filter) []*Schedule {
+	return k.c.fill(k.key(h1, h2), filters, k.p, k.alg)
+}
+
+func (k Keyer) key(h1, h2 uint64) groupKey {
+	return groupKey{h1: h1, h2: fnvString(h2, k.pat), pattern: k.pat, alg: k.alg}
 }
 
 // ScheduleGroup returns the memoized joint schedule for the filter group,
@@ -303,21 +250,28 @@ func (k Keyer) ScheduleGroups(refs []GroupRef, out [][]*Schedule) {
 // wins the store, so no caller ever observes a partial entry.
 func (c *Cache) ScheduleGroup(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	h1, h2 := HashFilters(filters)
-	pat := patternKey(p)
-	key := groupKey{h1: h1, h2: fnvString(h2, pat), pattern: pat, alg: alg}
-	return c.lookupOrFill(key, filters, p, alg)
+	return c.Keyer(p, alg).ScheduleGroup(h1, h2, filters)
 }
 
-func (c *Cache) lookupOrFill(key groupKey, filters []Filter, p Pattern, alg Algorithm) []*Schedule {
+// lookup returns the resident entry for key, counting a hit; a miss counts
+// nothing (fill counts it).
+func (c *Cache) lookup(key groupKey) ([]*Schedule, bool) {
 	s := c.stripe(key.h1)
 	s.mu.RLock()
 	ss, ok := s.m[key]
 	s.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
-		return ss
 	}
-	ss = s.fill(filters, p, alg)
+	return ss, ok
+}
+
+// fill computes and stores the entry for key, counting a miss. Concurrent
+// callers may race to fill the same key; both compute the identical
+// deterministic result and one wins the store.
+func (c *Cache) fill(key groupKey, filters []Filter, p Pattern, alg Algorithm) []*Schedule {
+	s := c.stripe(key.h1)
+	ss := s.fill(filters, p, alg)
 	s.misses.Add(1)
 	c.insert(s, key, ss)
 	return ss

@@ -109,95 +109,41 @@ func TestKeyerMatchesScheduleGroup(t *testing.T) {
 	}
 }
 
-// TestScheduleGroupsBatchDuplicates pins batch-internal dedup: duplicate
-// refs in one batch are computed once and share the first occurrence's
-// result, while each ref still counts toward the lookup tally.
-func TestScheduleGroupsBatchDuplicates(t *testing.T) {
+// TestKeyerLookupFill pins the split lookup the engine uses when it
+// memoises a group's content hash: Lookup resolves a hit from the hash
+// alone and counts it; a miss counts nothing until Fill, which counts one
+// miss and stores the entry the next Lookup hits — one count per lookup
+// either way, exactly as ScheduleGroup.
+func TestKeyerLookupFill(t *testing.T) {
 	c := NewCache(0)
 	p, alg := T(2, 5), Algorithm1
-	a := cacheTestGroup(600, 10, 8, 0.6, nil)
-	b := cacheTestGroup(601, 10, 8, 0.6, nil)
-	ah1, ah2 := HashFilters(a)
-	bh1, bh2 := HashFilters(b)
+	k := c.Keyer(p, alg)
+	group := cacheTestGroup(600, 10, 8, 0.6, nil)
+	h1, h2 := HashFilters(group)
 
-	refs := []GroupRef{
-		{H1: ah1, H2: ah2, Filters: a},
-		{H1: bh1, H2: bh2, Filters: b},
-		{H1: ah1, H2: ah2, Filters: a}, // duplicate of refs[0]
+	if _, ok := k.Lookup(h1, h2); ok {
+		t.Fatal("Lookup hit an empty cache")
 	}
-	out := make([][]*Schedule, len(refs))
-	c.Keyer(p, alg).ScheduleGroups(refs, out)
-
-	for i := range out[0] {
-		if out[0][i] != out[2][i] {
-			t.Fatalf("filter %d: batch duplicate did not share the first fill", i)
+	if st := c.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("a missed Lookup counted (%d hits, %d misses), want nothing until Fill", st.Hits, st.Misses)
+	}
+	filled := k.Fill(h1, h2, group)
+	if !reflect.DeepEqual(filled, ScheduleGroup(group, p, alg)) {
+		t.Fatal("Fill differs from direct ScheduleGroup")
+	}
+	got, ok := k.Lookup(h1, h2)
+	if !ok {
+		t.Fatal("Lookup missed the entry Fill stored")
+	}
+	for i := range got {
+		if got[i] != filled[i] {
+			t.Fatalf("filter %d: Lookup returned a different entry than Fill stored", i)
 		}
 	}
-	if !reflect.DeepEqual(out[0], ScheduleGroup(a, p, alg)) || !reflect.DeepEqual(out[1], ScheduleGroup(b, p, alg)) {
-		t.Fatal("batch fill differs from direct ScheduleGroup")
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 entry", st)
 	}
-	st := c.Stats()
-	if st.Hits+st.Misses != int64(len(refs)) {
-		t.Fatalf("hits %d + misses %d != %d refs", st.Hits, st.Misses, len(refs))
-	}
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 distinct groups", st.Entries)
-	}
-}
-
-// TestScheduleGroupsBatchConcurrent drives the batched lookup path from
-// many workers over disjoint dup-free batches with a capacity small enough
-// to force overflow sweeps mid-batch. Results must match the uncached
-// computation on every round and the cross-stripe accounting must stay
-// exact, including entries dropped while other workers' batches were in
-// their probe or fill phases.
-func TestScheduleGroupsBatchConcurrent(t *testing.T) {
-	const workers, groupsPer, rounds = 8, 10, 10
-	p, alg := T(2, 5), Algorithm1
-	groups, fresh := stressWorkload(workers, groupsPer, p, alg)
-
-	c := NewCache(workers * groupsPer / 4) // working set 4x capacity: constant churn
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			k := c.Keyer(p, alg)
-			refs := make([]GroupRef, groupsPer)
-			for g := range refs {
-				h1, h2 := HashFilters(groups[w][g])
-				refs[g] = GroupRef{H1: h1, H2: h2, Filters: groups[w][g]}
-			}
-			out := make([][]*Schedule, groupsPer)
-			for r := 0; r < rounds; r++ {
-				for g := range out {
-					out[g] = nil
-				}
-				k.ScheduleGroups(refs, out)
-				for g := range out {
-					if !reflect.DeepEqual(fresh[w][g], out[g]) {
-						t.Errorf("worker %d group %d round %d: batched schedules differ from fresh computation", w, g, r)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	st := c.Stats()
-	lookups := int64(workers * groupsPer * rounds)
-	if st.Hits+st.Misses != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, lookups)
-	}
-	if st.Evictions+int64(st.Entries) != st.Misses {
-		t.Errorf("evictions %d + resident %d != misses %d: cross-stripe eviction accounting drifted",
-			st.Evictions, st.Entries, st.Misses)
-	}
-	if st.Evictions == 0 {
-		t.Error("4x-capacity churn recorded no evictions")
+	if !reflect.DeepEqual(k.ScheduleGroup(h1, h2, group), filled) {
+		t.Fatal("ScheduleGroup disagrees with the split lookup")
 	}
 }

@@ -23,11 +23,17 @@ import (
 // so `{"model":"alexnet-es"}` and the same request with every default
 // spelled out coalesce onto one digest, and one engine run.
 func Fingerprint(m *nn.Model, zoo nn.ZooConfig, actSeed int64, cfgs []arch.Config) string {
+	return fingerprint(m.Name, zoo, actSeed, cfgs)
+}
+
+// fingerprint is Fingerprint by registered model name, for callers that
+// fingerprint a request before (or instead of) building its model.
+func fingerprint(model string, zoo nn.ZooConfig, actSeed int64, cfgs []arch.Config) string {
 	h := sha256.New()
 	// v2 guards the grammar itself: bump when the canonical form changes so
 	// stale cache keys can never alias fresh ones (v2 added batch).
 	fmt.Fprintf(h, "tclserve-fp-v2\nmodel=%s cs=%g ss=%g seed=%d act=%d w=%d batch=%d\n",
-		m.Name, zoo.ChannelScale, zoo.SpatialScale, zoo.Seed, actSeed, zoo.Width, zoo.BatchSize())
+		model, zoo.ChannelScale, zoo.SpatialScale, zoo.Seed, actSeed, zoo.Width, zoo.BatchSize())
 	for _, cfg := range cfgs {
 		writeConfig(h, cfg)
 	}

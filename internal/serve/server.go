@@ -270,7 +270,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	m, zoo, actSeed, err := req.ModelSpec.Build()
+	rm, err := req.ModelSpec.Resolve()
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -282,7 +282,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := Fingerprint(m, zoo, actSeed, cfgs)
+	fp := fingerprint(rm.Name, rm.Zoo, rm.ActSeed, cfgs)
 	names := make([]string, len(cfgs))
 	for i := range cfgs {
 		names[i] = cfgs[i].Name
@@ -298,8 +298,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// One engine invocation (or shard dispatch) per fingerprint: concurrent
 	// identical requests coalesce onto the leader's run, and finished
-	// sweeps serve follow-ups from the LRU without touching the engine.
+	// sweeps serve follow-ups from the LRU without touching the engine —
+	// or building the model, which only the leader does.
 	run := func() (*Sweep, error) {
+		m, err := nn.BuildModel(rm.Name, rm.Zoo)
+		if err != nil {
+			return nil, err
+		}
 		var emit func(cfg, layer int, lp LayerPayload)
 		if st != nil {
 			// This request leads the run, so its stream gets the layer
@@ -327,7 +332,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				emit(cfg, layer, layerPayload(lr))
 			}
 		}
-		acts := m.GenerateActs(actSeed)
+		acts := m.GenerateActs(rm.ActSeed)
 		s.publishActProfile(acts)
 		results, err := sim.SimulateSweepContext(ctx, cfgs, m, acts, opts)
 		if err != nil {

@@ -105,13 +105,25 @@ type ModelSpec struct {
 	Batch int `json:"batch,omitempty"`
 }
 
-// Build instantiates the model with every default applied, returning the
-// resolved zoo configuration and activation seed alongside — the canonical
-// values Fingerprint hashes, so a request that spells a default explicitly
-// coalesces with one that omits it.
-func (ms ModelSpec) Build() (*nn.Model, nn.ZooConfig, int64, error) {
+// ResolvedModel is a ModelSpec with every default applied and the model
+// name resolved to its registered display name: everything Fingerprint
+// hashes about the model, known without building it.
+type ResolvedModel struct {
+	Name    string
+	Zoo     nn.ZooConfig
+	ActSeed int64
+}
+
+// Resolve applies the spec's defaults and resolves its model against the
+// workload registry, without building the model. The unknown-model error
+// lists every registered name.
+func (ms ModelSpec) Resolve() (ResolvedModel, error) {
 	if ms.Model == "" {
-		return nil, nn.ZooConfig{}, 0, errors.New("missing model (want one of " + strings.Join(nn.Names(), ", ") + ")")
+		return ResolvedModel{}, errors.New("missing model (want one of " + strings.Join(nn.Names(), ", ") + ")")
+	}
+	e, err := nn.Lookup(ms.Model)
+	if err != nil {
+		return ResolvedModel{}, err
 	}
 	zoo := nn.DefaultZoo()
 	if ms.ChannelScale > 0 {
@@ -126,15 +138,27 @@ func (ms ModelSpec) Build() (*nn.Model, nn.ZooConfig, int64, error) {
 	if ms.Batch > 1 {
 		zoo.Batch = ms.Batch
 	}
-	m, err := nn.BuildModel(ms.Model, zoo)
-	if err != nil {
-		return nil, nn.ZooConfig{}, 0, err
-	}
 	actSeed := ms.ActSeed
 	if actSeed == 0 {
 		actSeed = 7
 	}
-	return m, zoo, actSeed, nil
+	return ResolvedModel{Name: e.Name, Zoo: zoo, ActSeed: actSeed}, nil
+}
+
+// Build instantiates the model with every default applied, returning the
+// resolved zoo configuration and activation seed alongside — the canonical
+// values Fingerprint hashes, so a request that spells a default explicitly
+// coalesces with one that omits it.
+func (ms ModelSpec) Build() (*nn.Model, nn.ZooConfig, int64, error) {
+	rm, err := ms.Resolve()
+	if err != nil {
+		return nil, nn.ZooConfig{}, 0, err
+	}
+	m, err := nn.BuildModel(rm.Name, rm.Zoo)
+	if err != nil {
+		return nil, nn.ZooConfig{}, 0, err
+	}
+	return m, rm.Zoo, rm.ActSeed, nil
 }
 
 // SimulateRequest is the body of POST /v1/simulate.

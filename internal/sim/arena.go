@@ -48,8 +48,8 @@ var groupScratchPool = sync.Pool{New: func() any { return &groupScratch{} }}
 
 // groupBufs is the prepare-to-finish working set of one filter group.
 type groupBufs struct {
-	refs     []laneRef
-	masks    []uint64
+	refs     []int32
+	masks    []uint64 // effectual-lane masks (groupCtx.eff)
 	planes   []*costPlane
 	peTotals []int64
 }
@@ -67,7 +67,7 @@ func (ctx *groupCtx) releaseTo(ws *workerState) {
 		return
 	}
 	ctx.bufs = nil
-	ctx.refs, ctx.masks, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil
+	ctx.refs, ctx.eff, ctx.masks, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil, nil
 	if ws != nil {
 		ws.putBufs(b)
 	} else {

@@ -22,7 +22,10 @@
 // and lane counts, including lane counts not divisible by 8.
 package sim
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // maxLaneCost bounds the per-value serial cost stored in cost tables and
 // activation cost planes, keeping bit 7 of every packed byte clear for the
@@ -90,6 +93,34 @@ func columnMaxScalar(cost []uint8, mask []uint64) int {
 // the unexported kernels directly.
 func ColumnMax(cost []uint8, mask []uint64) int       { return columnMax(cost, mask) }
 func ColumnMaxScalar(cost []uint8, mask []uint64) int { return columnMaxScalar(cost, mask) }
+
+// swarLow7 is 0x7F in every byte: added to a word of bytes <= 127 it sets
+// bit 7 of exactly the non-zero bytes, with no carry between bytes.
+const swarLow7 = 0x7f7f7f7f7f7f7f7f
+
+// nonZeroBytes counts the non-zero bytes of a word of bytes <= 127.
+func nonZeroBytes(x uint64) int {
+	return bits.OnesCount64((x + swarLow7) & swarHigh)
+}
+
+// byteSum adds the eight bytes of a word of bytes <= 127. Eight such bytes
+// can sum past 255, so the sum widens first: byte pairs fold into four
+// 16-bit fields (each <= 254), and one multiply gathers their total (<=
+// 1016, so no field overflows) into the top field.
+func byteSum(x uint64) int {
+	const pairs = 0x00ff00ff00ff00ff
+	x = x&pairs + x>>8&pairs
+	return int(x * 0x0001000100010001 >> 48)
+}
+
+// maskLanes counts the lanes a 0x00/0xFF byte mask selects.
+func maskLanes(mask []uint64) int {
+	n := 0
+	for _, m := range mask {
+		n += bits.OnesCount64(m)
+	}
+	return n / 8
+}
 
 // fullLaneMask returns the participation mask with the first `lanes` lanes
 // set — the mask every PE row shares when the config has no front-end

@@ -131,11 +131,24 @@ const (
 	planeFNVPrime  = 1099511628211
 )
 
-// planeKeyOf hashes everything the plane build reads: the back-end and
-// width (in the clear), the lowering geometry, the layer parameters the
-// coords/Act mapping consults, and the full input activation tensor.
+// planeKeyOf keys the plane build of (lw, be, w): the back-end and width in
+// the clear, plus the lowering's content digest (planeDigest), memoised on
+// the lowering so every config and run after the first reads it back.
 func planeKeyOf(lw *nn.Lowered, be backend.Backend, w fixed.Width) planeKey {
-	h1, h2 := uint64(planeFNVOffset), uint64(5381)
+	memo := lw.InputDigest()
+	h1, h2, ok := memo.Load()
+	if !ok {
+		h1, h2 = planeDigest(lw)
+		memo.Store(h1, h2)
+	}
+	return planeKey{h1: h1, h2: h2, be: be.Name(), width: w, group: -1}
+}
+
+// planeDigest hashes everything the plane build reads besides the back-end
+// and width: the lowering geometry, the layer parameters the coords/Act
+// mapping consults, and the full input activation tensor.
+func planeDigest(lw *nn.Lowered) (h1, h2 uint64) {
+	h1, h2 = uint64(planeFNVOffset), uint64(5381)
 	mix := func(v int64) {
 		for i := 0; i < 8; i++ {
 			h1 ^= uint64(byte(v >> (8 * i)))
@@ -161,14 +174,13 @@ func planeKeyOf(lw *nn.Lowered, be backend.Backend, w fixed.Width) planeKey {
 	for _, v := range in.Data {
 		mix(int64(v))
 	}
-	return planeKey{h1: h1, h2: h2, be: be.Name(), width: w, group: -1}
+	return h1, h2
 }
 
 // get returns the memoized plane for (lw, be, w), building and storing it
 // on first use. ct must be the cost table of (be, w); it is consulted only
 // on a fill. This is the single-plane entry point for row-invariant
-// layers; grouped layers go through getKeyed with a precomputed base key
-// so the input tensor is hashed once per layer, not once per act group.
+// layers; the engine goes through getKeyed, setting the act group.
 func (c *PlaneCache) get(lw *nn.Lowered, be backend.Backend, w fixed.Width, ct *costTable) *costPlane {
 	return c.getKeyed(planeKeyOf(lw, be, w), lw, ct, 0)
 }

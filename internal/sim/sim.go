@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -155,13 +156,9 @@ type planeSlot struct {
 }
 
 // layerPlanes is one layer's plane slots, one per act group (a single
-// slot for row-invariant layers), plus the lazily computed cache base key
-// they share — a grouped layer must hash its input tensor once, not once
-// per act group.
+// slot for row-invariant layers).
 type layerPlanes struct {
-	keyOnce sync.Once
-	baseKey planeKey
-	slots   []planeSlot
+	slots []planeSlot
 }
 
 // planeFor returns the cost plane of layer li's act group, from the cache
@@ -176,10 +173,7 @@ func (cw *configWork) planeFor(li, actGroup int, pc *PlaneCache) *costPlane {
 			s.plane = buildPlane(lw, cw.ct, actGroup)
 			return
 		}
-		lp.keyOnce.Do(func() {
-			lp.baseKey = planeKeyOf(lw, cw.cfg.Backend, cw.cfg.Width)
-		})
-		key := lp.baseKey
+		key := planeKeyOf(lw, cw.cfg.Backend, cw.cfg.Width)
 		if len(lp.slots) > 1 {
 			key.group = actGroup
 		}
@@ -496,16 +490,6 @@ func padMask(lw *nn.Lowered) []bool {
 	return lw.PadMask()
 }
 
-// laneRef is one lane's activation source in one schedule column: the
-// promoted weight's dense position for effectual lanes, the window head for
-// idle ones. flat is the precomputed step*lanes+lane plane offset so the
-// window walk gathers straight out of a cost plane's window slice.
-type laneRef struct {
-	step, lane int32
-	flat       int32
-	weight     int32 // 0 for idle lanes
-}
-
 // groupResult is one filter group's private accumulation shard: everything
 // simulateGroup learns about the group, free of shared state so groups can
 // execute on any worker in any order.
@@ -519,19 +503,25 @@ type groupResult struct {
 // groupCtx is the window-independent state of one filter group, built once
 // per group (under the groupAccum's Once) and shared read-only by every
 // window chunk of that group. Its grids live in one pooled arena
-// (groupBufs), flattened: refs[(ci*nrows+ri)*lanes+ln] is lane ln's
-// activation source in column ci of row ri's schedule.
+// (groupBufs), flattened by (column, row) cell cr = ci*nrows+ri:
+// refs[cr*lanes+ln] is lane ln's activation source in column ci of row
+// ri's schedule, as a step*lanes+lane offset into the dense schedule (and
+// so into a cost plane's window slice) — the promoted weight's dense
+// position for effectual lanes, the window head for idle ones.
 type groupCtx struct {
 	f0, f1       int
 	nrows, cols  int
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
-	refs         []laneRef
-	// masks holds the packed SWAR participation masks: 0xFF bytes for lanes
-	// that join the column sync (effectual weights, or every lane when the
-	// config has no front-end to gate the rest), 0x00 elsewhere. Gated
-	// groups store one maskStride-word mask per (column, row) at
-	// (ci*nrows+ri)*maskStride; gate-free groups set maskStride to 0 and
-	// share the memoized all-lanes mask directly.
+	refs         []int32
+	// eff holds one packed SWAR lane mask per (column, row) cell at
+	// cr*laneWords(lanes): 0xFF bytes for lanes holding an effectual
+	// weight, 0x00 elsewhere. The census classifies every lane by it.
+	eff []uint64
+	// masks holds the SWAR participation masks of the column max: lanes
+	// that join the column sync. Gated groups (a front-end skips
+	// ineffectual weights) alias eff, one mask per cell (maskStride =
+	// laneWords); gate-free groups let every lane join, so maskStride is 0
+	// and all cells share the memoized all-lanes mask.
 	masks      []uint64
 	maskStride int
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
@@ -577,18 +567,24 @@ func prepareGroup(cfg arch.Config, lw *nn.Lowered, ct *costTable, pad []bool, f0
 }
 
 // prepareGroupInto builds one resident filter group's shared context:
-// filters, schedules, the front-end census, datapath activity that depends
-// only on column structure, and the per-column lane references the window
-// walk consumes. For the bit-parallel back-end the group's full result is
-// computed here (its cost model is window-independent).
+// schedules, the front-end census, datapath activity that depends only on
+// column structure, and the per-column lane references the window walk
+// consumes. For the bit-parallel back-end the group's full result is
+// computed here (its cost model is window-independent). [f0, f1) must be a
+// dense group: f0 a multiple of FiltersPerTile, f1 = min(f0 +
+// FiltersPerTile, Filters).
 //
-// Filter rows are materialized into the worker's private scratch arena
-// (handed out at pool spin-up; the shared sync.Pool is the ws == nil
-// fallback for tests) and recycled before returning — safe because
-// schedules never retain their filters (sched.NewFilter wraps the row
-// slice, and both the cache and the kernel copy entry data, not weights).
-// The context's own grids carve from a second arena (the worker's
-// freelist, or the shared pool) held until finishGroup releases it.
+// With a schedule cache, the group's content digest is memoised on the
+// lowering (nn.Lowered.GroupDigest), so a lookup after the first is a
+// cache probe by digest that touches no weight: filter rows are
+// materialized only to compute a digest the lowering has not seen, or to
+// fill a miss. They go into the worker's private scratch arena (handed out
+// at pool spin-up; the shared sync.Pool is the ws == nil fallback for
+// tests) and are recycled before returning — safe because schedules never
+// retain their filters (sched.NewFilter wraps the row slice, and both the
+// cache and the kernel copy entry data, not weights). The context's own
+// grids carve from a second arena (the worker's freelist, or the shared
+// pool) held until finishGroup releases it.
 func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, pad []bool, f0, f1, nChunks int, keyer *sched.Keyer, ws *workerState) {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
 	steps, W := lw.Steps, lw.WindowCount
@@ -603,21 +599,32 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 		sc = groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(sc)
 	}
-	sc.weights = grow(sc.weights, nrows*steps*lanes)
-	sc.filters = grow(sc.filters, nrows)
-	filters := sc.filters[:nrows]
-	for i := 0; i < nrows; i++ {
-		row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
-		lw.FilterRowInto(f0+i, row)
-		filters[i] = sched.NewFilter(lanes, steps, row, pad)
+	filters := func() []sched.Filter {
+		sc.weights = grow(sc.weights, nrows*steps*lanes)
+		sc.filters = grow(sc.filters, nrows)
+		for i := range sc.filters {
+			row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
+			lw.FilterRowInto(f0+i, row)
+			sc.filters[i] = sched.NewFilter(lanes, steps, row, pad)
+		}
+		return sc.filters
 	}
 	var schedules []*sched.Schedule
 	switch {
 	case !cfg.HasFrontEnd():
-		schedules = denseSchedules(sc, filters)
+		schedules = denseSchedules(sc, filters())
 	case keyer != nil:
-		h1, h2 := sched.HashFilters(filters)
-		schedules = keyer.ScheduleGroup(h1, h2, filters)
+		memo := lw.GroupDigest(rows, f0/rows)
+		if h1, h2, ok := memo.Load(); ok {
+			if schedules, ok = keyer.Lookup(h1, h2); !ok {
+				schedules = keyer.Fill(h1, h2, filters())
+			}
+		} else {
+			fs := filters()
+			h1, h2 := sched.HashFilters(fs)
+			memo.Store(h1, h2)
+			schedules = keyer.ScheduleGroup(h1, h2, fs)
+		}
 	default:
 		// Cache disabled: schedule in the scratch's own arena-mode kernel;
 		// the schedules are read below and dropped, so arena reuse on the
@@ -625,7 +632,7 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 		if sc.sched == nil {
 			sc.sched = sched.NewScheduler()
 		}
-		schedules = sc.sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler)
+		schedules = sc.sched.ScheduleGroup(filters(), cfg.Pattern, cfg.Scheduler)
 	}
 	cols := 0
 	if nrows > 0 {
@@ -633,36 +640,102 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 	}
 	ctx.cols = cols
 
-	// Front-end census.
-	for i, s := range schedules {
-		st := s.Stats(filters[i])
-		r.frontEnd.Columns += st.Columns
-		r.frontEnd.DenseSteps += st.DenseSteps
-		for k := range st.Slots {
-			r.frontEnd.Slots[k] += st.Slots[k]
+	mw := laneWords(lanes)
+	if cfg.Serial() {
+		// Serial back-ends: column structure is window-independent; the
+		// census walk below also lays out per-cell lane references and
+		// effectual-lane masks once, shared by every chunk. All grids carve
+		// from one pooled arena: refs and rowPlanes are rebuilt wholesale
+		// (reused dirty); the |=-built masks and +=-folded PE totals are
+		// zeroed at carve.
+		ctx.needsWindows = true
+		ctx.gate = cfg.HasFrontEnd()
+		var b *groupBufs
+		if ws != nil {
+			b = ws.getBufs()
+		} else {
+			b = groupBufsPool.Get().(*groupBufs)
+		}
+		ctx.bufs = b
+		b.refs = grow(b.refs, cols*nrows*lanes)
+		ctx.refs = b.refs[:cols*nrows*lanes]
+		b.masks = grow(b.masks, cols*nrows*mw)
+		ctx.eff = b.masks[:cols*nrows*mw]
+		clear(ctx.eff)
+		if ctx.gate {
+			ctx.masks, ctx.maskStride = ctx.eff, mw
+		} else {
+			ctx.masks, ctx.maskStride = fullLaneMaskShared(lanes), 0
+		}
+		b.planes = grow(b.planes, nrows)
+		ctx.rowPlanes = b.planes[:nrows]
+		clear(ctx.rowPlanes)
+		ctx.peStride = nrows * wg
+		b.peTotals = grow(b.peTotals, nChunks*ctx.peStride)
+		ctx.peTotals = b.peTotals[:nChunks*ctx.peStride]
+		clear(ctx.peTotals)
+	}
+
+	// One walk over every schedule entry: the front-end slot census
+	// (sched.Schedule.Stats against the layer's pad mask), the effectual
+	// count behind mux selects and MACs, and — serial back-ends — the lane
+	// references and effectual masks.
+	fe := &r.frontEnd
+	var effectual int64
+	for ri, s := range schedules {
+		fe.Columns += s.Len()
+		fe.DenseSteps += s.DenseSteps
+		for ci, col := range s.Columns {
+			var refs []int32
+			var eff []uint64
+			if ctx.needsWindows {
+				cr := ci*nrows + ri
+				refs = ctx.refs[cr*lanes : (cr+1)*lanes]
+				eff = ctx.eff[cr*mw : (cr+1)*mw]
+			}
+			head := col.Head * lanes
+			for ln, e := range col.Entries {
+				if e.Weight == 0 {
+					if pad != nil && pad[head+ln] {
+						fe.Slots[sched.SlotPad]++
+					} else {
+						fe.Slots[sched.SlotZero]++
+					}
+					if refs != nil {
+						refs[ln] = int32(head + ln)
+					}
+					continue
+				}
+				effectual++
+				switch {
+				case e.Dt == 0 && e.Dl == 0:
+					fe.Slots[sched.SlotUnpromoted]++
+				case e.Dl == 0:
+					fe.Slots[sched.SlotLookahead]++
+				default:
+					fe.Slots[sched.SlotLookaside]++
+				}
+				if refs != nil {
+					refs[ln] = int32(e.SrcStep*lanes + e.SrcLane)
+					eff[ln>>3] |= 0xff << (8 * uint(ln&7))
+				}
+			}
 		}
 	}
 	// Filter-count padding: PE rows beyond the layer's filters idle.
-	r.frontEnd.Slots[sched.SlotPad] += int64(rows-nrows) * int64(cols) * int64(lanes)
+	fe.Slots[sched.SlotPad] += int64(rows-nrows) * int64(cols) * int64(lanes)
 
 	numWGroups := (W + wg - 1) / wg
 	r.activity.WSColumnReads += int64(cols) * ceilDiv64(int64(numWGroups), int64(cfg.PsumRegsPerPE))
-	r.activity.MuxSelects += muxSelects(cfg, schedules, W)
+	if cfg.HasFrontEnd() {
+		// One activation-mux select per effectual entry per window.
+		r.activity.MuxSelects += effectual * int64(W)
+	}
 	r.activity.PsumAccesses += int64(nrows) * int64(cols) * int64(W)
 
 	if !cfg.Serial() {
-		var macs int64
-		if cfg.HasFrontEnd() {
-			for _, s := range schedules {
-				for _, col := range s.Columns {
-					for _, e := range col.Entries {
-						if e.Weight != 0 {
-							macs++
-						}
-					}
-				}
-			}
-		} else {
+		macs := effectual
+		if !cfg.HasFrontEnd() {
 			// The dense baseline multiplies every lane every cycle.
 			macs = int64(nrows) * int64(lanes) * int64(cols)
 		}
@@ -670,69 +743,8 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 		r.cycles = int64(cols) * int64(W)
 		return
 	}
-	ctx.needsWindows = true
 	if cfg.Backend.OffsetEncoder() {
 		r.activity.OffsetEncodes += int64(cols) * int64(lanes) * int64(W)
-	}
-
-	// Serial back-ends: column structure is window-independent; precompute
-	// per-column, per-row lane references and SWAR participation masks once,
-	// shared by every chunk. All grids carve from one pooled arena: refs and
-	// rowPlanes are rebuilt wholesale (reused dirty); the |=-built gated
-	// masks and +=-folded PE totals are zeroed at carve.
-	ctx.gate = cfg.HasFrontEnd()
-	var b *groupBufs
-	if ws != nil {
-		b = ws.getBufs()
-	} else {
-		b = groupBufsPool.Get().(*groupBufs)
-	}
-	ctx.bufs = b
-	b.refs = grow(b.refs, cols*nrows*lanes)
-	ctx.refs = b.refs[:cols*nrows*lanes]
-	mw := laneWords(lanes)
-	if ctx.gate {
-		b.masks = grow(b.masks, cols*nrows*mw)
-		ctx.masks = b.masks[:cols*nrows*mw]
-		clear(ctx.masks)
-		ctx.maskStride = mw
-	} else {
-		ctx.masks = fullLaneMaskShared(lanes)
-		ctx.maskStride = 0
-	}
-	b.planes = grow(b.planes, nrows)
-	ctx.rowPlanes = b.planes[:nrows]
-	clear(ctx.rowPlanes)
-	ctx.peStride = nrows * wg
-	b.peTotals = grow(b.peTotals, nChunks*ctx.peStride)
-	ctx.peTotals = b.peTotals[:nChunks*ctx.peStride]
-	clear(ctx.peTotals)
-	for ci := 0; ci < cols; ci++ {
-		for ri := 0; ri < nrows; ri++ {
-			col := schedules[ri].Columns[ci]
-			refs := ctx.refs[(ci*nrows+ri)*lanes : (ci*nrows+ri+1)*lanes]
-			var mask []uint64
-			if ctx.gate {
-				mask = ctx.masks[(ci*nrows+ri)*mw : (ci*nrows+ri+1)*mw]
-			}
-			for ln, e := range col.Entries {
-				if e.Weight != 0 {
-					refs[ln] = laneRef{
-						step: int32(e.SrcStep), lane: int32(e.SrcLane),
-						flat:   int32(e.SrcStep*lanes + e.SrcLane),
-						weight: e.Weight,
-					}
-					if ctx.gate {
-						mask[ln>>3] |= 0xff << (8 * uint(ln&7))
-					}
-				} else {
-					refs[ln] = laneRef{
-						step: int32(col.Head), lane: int32(ln),
-						flat: int32(col.Head*lanes + ln),
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -750,23 +762,25 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 //
 // Cost evaluation is single-pass: each lane's serial cost lands once per
 // (column, row, window) in laneCost, feeding both the SWAR column-max
-// (columnMax over the group's participation mask) and the census. When
-// per-row cost planes are supplied, costs are gathered from the row's
-// plane window slice by precomputed flat offset — no Act fetch, no
-// costTable mask, no per-chunk grid build; rows of one act group share a
-// plane, so row-invariant, grouped, and depthwise layers all take this
-// path. planes == nil falls back to fetching each cost through lw.Act
-// with the row's own filter index — the executable reference the plane
-// gather is differentially pinned against.
+// (columnMax over the group's participation mask) and the word-wide lane
+// census (census, over the cell's effectual mask). When per-row cost planes
+// are supplied, costs are gathered from the row's plane window slice by
+// precomputed flat offset — no Act fetch, no costTable mask, no per-chunk
+// grid build; rows of one act group share a plane, so row-invariant,
+// grouped, and depthwise layers all take this path. planes == nil falls
+// back to fetching each cost through lw.Act with the row's own filter
+// index — the executable reference the plane gather is differentially
+// pinned against.
 func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable, planes []*costPlane, wLo, wHi int, dst []int64) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	nrows, cols, f0 := ctx.nrows, ctx.cols, ctx.f0
+	mw := laneWords(lanes)
 	if dst == nil {
 		dst = make([]int64, nrows*wg)
 	}
 	wp := windowPartial{peTotals: dst}
 	// Lane costs live on the stack for every supported geometry; the slice
-	// fallback only fires past 64 lanes.
+	// fallback only fires past 64 lanes. Bytes past `lanes` stay zero.
 	var lcBuf [64]uint8
 	laneCost := lcBuf[:]
 	if n := padLanes(lanes); n <= len(lcBuf) {
@@ -782,11 +796,14 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable,
 		nw := w1 - w0
 		for ci := 0; ci < cols; ci++ {
 			for ri := 0; ri < nrows; ri++ {
-				refs := ctx.refs[(ci*nrows+ri)*lanes : (ci*nrows+ri+1)*lanes]
+				cr := ci*nrows + ri
+				refs := ctx.refs[cr*lanes : (cr+1)*lanes]
+				eff := ctx.eff[cr*mw : (cr+1)*mw]
 				mask := ctx.masks
 				if ctx.maskStride > 0 {
-					mask = ctx.masks[(ci*nrows+ri)*ctx.maskStride : (ci*nrows+ri+1)*ctx.maskStride]
+					mask = ctx.masks[cr*ctx.maskStride : (cr+1)*ctx.maskStride]
 				}
+				nEff := maskLanes(eff)
 				fIdx := f0 + ri
 				var plane *costPlane
 				if planes != nil {
@@ -795,42 +812,57 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable,
 				for wi := 0; wi < nw; wi++ {
 					if plane != nil {
 						g := plane.window(w0 + wi)
-						for ln := 0; ln < lanes; ln++ {
-							laneCost[ln] = g[refs[ln].flat]
+						for ln, flat := range refs {
+							laneCost[ln] = g[flat]
 						}
 					} else {
-						for ln := 0; ln < lanes; ln++ {
-							rf := refs[ln]
-							laneCost[ln] = ct.costU8(lw.Act(fIdx, w0+wi, int(rf.step), int(rf.lane)))
+						for ln, flat := range refs {
+							st, l := int(flat)/lanes, int(flat)%lanes
+							laneCost[ln] = ct.costU8(lw.Act(fIdx, w0+wi, st, l))
 						}
 					}
 					peMax := columnMax(laneCost, mask)
 					wp.peTotals[ri*wg+wi] += int64(peMax)
-					// Lane census for this PE column, from the same costs.
-					for ln := 0; ln < lanes; ln++ {
-						rf := refs[ln]
-						c := int(laneCost[ln])
-						switch {
-						case rf.weight != 0 && c > 0:
-							wp.backEnd.Useful += int64(c)
-							wp.backEnd.ColumnSync += int64(peMax - c)
-							wp.serial += int64(c)
-						case rf.weight != 0:
-							wp.backEnd.AZero += int64(peMax)
-						case c > 0:
-							wp.backEnd.WZero += int64(peMax)
-							if !ctx.gate {
-								wp.serial += int64(c)
-							}
-						default:
-							wp.backEnd.BothZero += int64(peMax)
-						}
-					}
+					wp.census(laneCost, eff, nEff, lanes, peMax, ctx.gate)
 				}
 			}
 		}
 	}
 	return wp
+}
+
+// census folds one PE column's lane census into the partial, word-wide.
+// cost is the column's padLanes-sized lane-cost buffer (zero past lanes,
+// every byte <= maxLaneCost), eff its effectual-lane mask with nEff lanes
+// set, and peMax the column's duration. Per lane, by weight and cost:
+//
+//	effectual, cost c > 0:  Useful += c, ColumnSync += peMax-c, serial += c
+//	effectual, cost 0:      AZero += peMax
+//	idle, cost c > 0:       WZero += peMax (serial += c when ungated)
+//	idle, cost 0:           BothZero += peMax
+//
+// so each bucket needs only a masked byte sum and a count of non-zero
+// bytes on each side of the mask. An ungated config (no front-end) still
+// spends serial cycles on its idle lanes, since they join the column.
+func (wp *windowPartial) census(cost []uint8, eff []uint64, nEff, lanes, peMax int, gate bool) {
+	var sumE, nzE, sumI, nzI int
+	for i, m := range eff {
+		c := binary.LittleEndian.Uint64(cost[i*8:])
+		sumE += byteSum(c & m)
+		nzE += nonZeroBytes(c & m)
+		sumI += byteSum(c &^ m)
+		nzI += nonZeroBytes(c &^ m)
+	}
+	pm := int64(peMax)
+	wp.backEnd.Useful += int64(sumE)
+	wp.backEnd.ColumnSync += int64(nzE)*pm - int64(sumE)
+	wp.backEnd.AZero += int64(nEff-nzE) * pm
+	wp.backEnd.WZero += int64(nzI) * pm
+	wp.backEnd.BothZero += int64(lanes-nEff-nzI) * pm
+	wp.serial += int64(sumE)
+	if !gate {
+		wp.serial += int64(sumI)
+	}
 }
 
 // finishGroup folds the chunk partials into the group's result shard. The
@@ -899,23 +931,4 @@ func ceilDiv64(a, b int64) int64 {
 		q++
 	}
 	return q
-}
-
-// muxSelects counts activation-mux switch events: one per effectual entry
-// per window for front-end configs.
-func muxSelects(cfg arch.Config, schedules []*sched.Schedule, W int) int64 {
-	if !cfg.HasFrontEnd() {
-		return 0
-	}
-	var n int64
-	for _, s := range schedules {
-		for _, col := range s.Columns {
-			for _, e := range col.Entries {
-				if e.Weight != 0 {
-					n++
-				}
-			}
-		}
-	}
-	return n * int64(W)
 }
