@@ -131,8 +131,8 @@ func main() {
 		if total > 0 {
 			rate = 100 * float64(st.Hits) / float64(total)
 		}
-		fmt.Printf("schedule cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d resident entries\n",
-			st.Hits, st.Misses, rate, st.Evictions, st.Entries)
+		fmt.Printf("schedule cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d resident entries (%.1f MiB)\n",
+			st.Hits, st.Misses, rate, st.Evictions, st.Entries, float64(st.Bytes)/(1<<20))
 	}
 	if *pstats {
 		st := sim.SharedPlanes.Stats()

@@ -45,14 +45,15 @@ func main() {
 	for ci, col := range schedule.Columns {
 		var promos []string
 		peMax := 1
-		for _, e := range col.Entries {
+		for ln, e := range col.Entries {
 			if e.Weight == 0 {
 				continue
 			}
 			if e.Dt != 0 || e.Dl != 0 {
 				promos = append(promos, fmt.Sprintf("(%d,%+d)", e.Dt, e.Dl))
 			}
-			if c := bits.OneffsetCount(src(0, e.SrcStep, e.SrcLane), fixed.W16); c > peMax {
+			st, sl := e.Src(col.Head, ln, lanes)
+			if c := bits.OneffsetCount(src(0, st, sl), fixed.W16); c > peMax {
 				peMax = c
 			}
 		}

@@ -191,7 +191,7 @@ type Stats struct {
 // RunFilter executes one filter's verified schedule for one window through
 // the structural datapath and returns the accumulated psum with run stats.
 // The mux select of each entry is derived exactly as the hardware stores
-// it: the lookahead distance (SrcStep − column head) and source lane.
+// it: the lookahead distance Dt and the source lane (Entry.Src).
 func RunFilter(cfg arch.Config, f sched.Filter, s *sched.Schedule, src ActSource, win int) (int64, Stats, error) {
 	h := cfg.Pattern.H
 	if cfg.Pattern.Infinite {
@@ -210,8 +210,8 @@ func RunFilter(cfg arch.Config, f sched.Filter, s *sched.Schedule, src ActSource
 			if e.Weight == 0 {
 				continue
 			}
-			dt := e.SrcStep - col.Head
-			a, err := asu.Select(dt, e.SrcLane)
+			_, srcLane := e.Src(col.Head, ln, f.Lanes)
+			a, err := asu.Select(int(e.Dt), srcLane)
 			if err != nil {
 				return 0, Stats{}, fmt.Errorf("datapath: column %d lane %d: %w", ci, ln, err)
 			}

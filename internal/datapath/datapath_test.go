@@ -60,7 +60,7 @@ func denseSchedule(f sched.Filter) *sched.Schedule {
 		col := sched.Column{Head: st, Advance: 1, Entries: make([]sched.Entry, f.Lanes)}
 		for ln := 0; ln < f.Lanes; ln++ {
 			if w := f.At(st, ln); w != 0 {
-				col.Entries[ln] = sched.Entry{Weight: w, SrcStep: st, SrcLane: ln}
+				col.Entries[ln] = sched.Entry{Weight: w}
 			}
 		}
 		s.Columns = append(s.Columns, col)
@@ -103,11 +103,12 @@ func TestStructuralCyclesMatchSimCostModel(t *testing.T) {
 		var want int64
 		for _, col := range s.Columns {
 			peMax := 1
-			for _, e := range col.Entries {
+			for ln, e := range col.Entries {
 				if e.Weight == 0 {
 					continue
 				}
-				a := lw.Act(0, win, e.SrcStep, e.SrcLane)
+				st, sl := e.Src(col.Head, ln, s.Lanes)
+				a := lw.Act(0, win, st, sl)
 				var c int
 				if be == arch.TCLe {
 					c = bits.OneffsetCount(a, fixed.W16)

@@ -166,7 +166,7 @@ func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepP
 	lanes, steps := f.Lanes, f.Steps
 	take := func(lane, srcStep, srcLane, dt, dl int) {
 		pos := srcStep*lanes + srcLane
-		entries[lane] = Entry{Weight: f.W[pos], SrcStep: srcStep, SrcLane: srcLane, Dt: dt, Dl: dl}
+		entries[lane] = Entry{Weight: f.W[pos], Dt: int16(dt), Dl: int16(dl)}
 		done[pos] = true
 		stepPending[srcStep]--
 	}
@@ -335,34 +335,31 @@ func abs(x int) int {
 // filter.
 func scheduleInfinite(filters []Filter) []*Schedule {
 	lanes, steps := filters[0].Lanes, filters[0].Steps
+	checkInfiniteSpan(lanes, steps)
 	maxCols := 0
-	packed := make([][]Entry, len(filters))
+	packed := make([][]int, len(filters)) // dense positions of effectual weights
 	for i, f := range filters {
-		var es []Entry
-		for st := 0; st < steps; st++ {
-			for ln := 0; ln < lanes; ln++ {
-				if w := f.W[st*lanes+ln]; w != 0 {
-					es = append(es, Entry{Weight: w, SrcStep: st, SrcLane: ln})
-				}
+		var ps []int
+		for pos, w := range f.W {
+			if w != 0 {
+				ps = append(ps, pos)
 			}
 		}
-		packed[i] = es
-		if c := (len(es) + lanes - 1) / lanes; c > maxCols {
+		packed[i] = ps
+		if c := (len(ps) + lanes - 1) / lanes; c > maxCols {
 			maxCols = c
 		}
 	}
 	out := make([]*Schedule, len(filters))
-	for i, es := range packed {
+	for i, ps := range packed {
+		f := filters[i]
 		s := &Schedule{Lanes: lanes, DenseSteps: steps}
 		for c := 0; c < maxCols; c++ {
 			col := Column{Head: min(c, steps-1), Advance: 1, Entries: make([]Entry, lanes)}
 			for ln := 0; ln < lanes; ln++ {
-				k := c*lanes + ln
-				if k < len(es) {
-					e := es[k]
-					e.Dt = e.SrcStep - col.Head
-					e.Dl = e.SrcLane - ln
-					col.Entries[ln] = e
+				if k := c*lanes + ln; k < len(ps) {
+					st, sl := ps[k]/lanes, ps[k]%lanes
+					col.Entries[ln] = Entry{Weight: f.W[ps[k]], Dt: int16(st - col.Head), Dl: int16(sl - ln)}
 				}
 			}
 			s.Columns = append(s.Columns, col)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"bittactical/internal/metrics"
 )
@@ -46,6 +47,7 @@ type cacheStripe struct {
 	mu        sync.RWMutex
 	m         map[groupKey][]*Schedule
 	slab      schedSlab
+	bytes     int64 // groupBytes summed over m; guarded by mu
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -284,12 +286,34 @@ func (c *Cache) insert(s *cacheStripe, key groupKey, ss []*Schedule) {
 	if c.count.Load() >= int64(c.capacity) {
 		c.evictAll()
 	}
+	b := groupBytes(ss)
 	s.mu.Lock()
-	if _, exists := s.m[key]; !exists {
+	if old, exists := s.m[key]; exists {
+		s.bytes -= groupBytes(old)
+	} else {
 		c.count.Add(1)
 	}
 	s.m[key] = ss
+	s.bytes += b
 	s.mu.Unlock()
+}
+
+// Footprint of the cached schedule types, for CacheStats.Bytes.
+const (
+	entryBytes    = int64(unsafe.Sizeof(Entry{}))
+	columnBytes   = int64(unsafe.Sizeof(Column{}))
+	scheduleBytes = int64(unsafe.Sizeof(Schedule{}) + unsafe.Sizeof((*Schedule)(nil)))
+)
+
+// groupBytes is the resident footprint of one cached group: its entries,
+// columns, schedule headers and schedule pointers, which is exactly what
+// the stripe slab carves for it.
+func groupBytes(ss []*Schedule) int64 {
+	var n int64
+	for _, sc := range ss {
+		n += scheduleBytes + int64(len(sc.Columns))*(columnBytes+int64(sc.Lanes)*entryBytes)
+	}
+	return n
 }
 
 // evictAll is the overflow sweep: it locks every stripe (ascending, so
@@ -308,6 +332,7 @@ func (c *Cache) evictAll() {
 			s.evictions.Add(int64(len(s.m)))
 			s.m = make(map[groupKey][]*Schedule)
 			s.slab = schedSlab{}
+			s.bytes = 0
 		}
 		c.count.Store(0)
 	}
@@ -339,12 +364,15 @@ func (s *cacheStripe) fill(filters []Filter, p Pattern, alg Algorithm) []*Schedu
 // CacheStats is a cache's lifetime counters and current residency.
 // Evictions counts individual entries dropped by the overflow policy, so a
 // sweep that drops k entries records k evictions; summed across stripes
-// the accounting stays exact (evictions + entries == inserts).
+// the accounting stays exact (evictions + entries == inserts). Bytes is
+// the resident entry, column and schedule footprint of the cached groups;
+// it drops to 0 on Reset and on an overflow sweep.
 type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
 	Entries   int
+	Bytes     int64
 }
 
 // Stats reports lifetime hit/miss/eviction counters and the current entry
@@ -358,18 +386,21 @@ func (c *Cache) Stats() CacheStats {
 		st.Evictions += s.evictions.Load()
 		s.mu.RLock()
 		st.Entries += len(s.m)
+		st.Bytes += s.bytes
 		s.mu.RUnlock()
 	}
 	return st
 }
 
 // RegisterMetrics exposes the cache's counters in the registry as
-// <prefix>_{hits,misses,evictions,entries}, read live at snapshot time.
+// <prefix>_{hits,misses,evictions,entries,bytes}, read live at snapshot
+// time.
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.Func(prefix+"_hits", func() int64 { return c.Stats().Hits })
 	r.Func(prefix+"_misses", func() int64 { return c.Stats().Misses })
 	r.Func(prefix+"_evictions", func() int64 { return c.Stats().Evictions })
 	r.Func(prefix+"_entries", func() int64 { return int64(c.Stats().Entries) })
+	r.Func(prefix+"_bytes", func() int64 { return c.Stats().Bytes })
 }
 
 // Reset drops every entry and zeroes the counters. The dropped entries are
@@ -382,6 +413,7 @@ func (c *Cache) Reset() {
 		s := &c.stripes[i]
 		s.m = make(map[groupKey][]*Schedule)
 		s.slab = schedSlab{}
+		s.bytes = 0
 		s.hits.Store(0)
 		s.misses.Store(0)
 		s.evictions.Store(0)

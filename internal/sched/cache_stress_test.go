@@ -39,6 +39,7 @@ func stressWorkload(workers, groupsPer int, p Pattern, alg Algorithm) ([][][]Fil
 //
 //	hits + misses == lookups
 //	evictions + entries == misses   (disjoint keys: one insert per miss)
+//	bytes == footprint of the resident groups
 func TestCacheConcurrentMixedLoad(t *testing.T) {
 	const workers, groupsPer, rounds = 8, 12, 12
 	p, alg := T(2, 5), Algorithm1
@@ -76,6 +77,16 @@ func TestCacheConcurrentMixedLoad(t *testing.T) {
 			if st.Evictions+int64(st.Entries) != st.Misses {
 				t.Errorf("evictions %d + resident %d != misses %d: cross-stripe eviction accounting drifted",
 					st.Evictions, st.Entries, st.Misses)
+			}
+			var resident int64
+			for i := range c.stripes {
+				for _, ss := range c.stripes[i].m {
+					resident += groupBytes(ss)
+				}
+			}
+			if st.Bytes != resident {
+				t.Errorf("bytes %d != %d carved for the resident groups: cross-stripe byte accounting drifted",
+					st.Bytes, resident)
 			}
 			if capacity == 1 && st.Evictions == 0 {
 				t.Error("capacity-1 churn recorded no evictions")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"bittactical/internal/metrics"
 	"bittactical/internal/sparsity"
@@ -94,6 +95,46 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
+// TestCacheBytesAccounting pins CacheStats.Bytes to the exact footprint
+// of the resident groups: 8 bytes per entry plus each column and schedule
+// header, back to 0 on Reset, and only the surviving group after an
+// overflow sweep.
+func TestCacheBytesAccounting(t *testing.T) {
+	const ptr = int64(unsafe.Sizeof(uintptr(0)))
+	want := func(ss []*Schedule) int64 {
+		var n int64
+		for _, s := range ss {
+			n += int64(unsafe.Sizeof(Schedule{})) + ptr +
+				int64(len(s.Columns))*(int64(unsafe.Sizeof(Column{}))+int64(s.Lanes)*8)
+		}
+		return n
+	}
+	p := T(2, 5)
+	a, b := cacheTestGroup(500, 12, 8, 0.6, nil), cacheTestGroup(501, 20, 16, 0.5, nil)
+
+	c := NewCache(0)
+	sa := c.ScheduleGroup(a, p, Algorithm1)
+	if got := c.Stats().Bytes; got != want(sa) || got == 0 {
+		t.Fatalf("after one fill: bytes = %d, want %d", got, want(sa))
+	}
+	c.ScheduleGroup(a, p, Algorithm1) // a hit carves nothing
+	sb := c.ScheduleGroup(b, p, Algorithm1)
+	if got := c.Stats().Bytes; got != want(sa)+want(sb) {
+		t.Fatalf("after two fills: bytes = %d, want %d", got, want(sa)+want(sb))
+	}
+	c.Reset()
+	if got := c.Stats().Bytes; got != 0 {
+		t.Fatalf("after Reset: bytes = %d, want 0", got)
+	}
+
+	one := NewCache(1)
+	one.ScheduleGroup(a, p, Algorithm1)
+	sb = one.ScheduleGroup(b, p, Algorithm1) // overflow drops a, keeps b
+	if st := one.Stats(); st.Evictions != 1 || st.Bytes != want(sb) {
+		t.Fatalf("after overflow: %d evictions, bytes = %d; want 1 and %d", st.Evictions, st.Bytes, want(sb))
+	}
+}
+
 // TestCacheCapacityClears checks the overflow policy: at capacity the cache
 // drops everything and refills rather than growing without bound.
 func TestCacheCapacityClears(t *testing.T) {
@@ -169,6 +210,7 @@ func TestCacheRegisterMetrics(t *testing.T) {
 		"cache_misses":    st.Misses,
 		"cache_evictions": st.Evictions,
 		"cache_entries":   int64(st.Entries),
+		"cache_bytes":     st.Bytes,
 	}
 	for name, v := range want {
 		if snap[name].(int64) != v {

@@ -14,6 +14,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 0, 4}, uint8(4), uint8(0))
 	f.Add([]byte{}, uint8(1), uint8(1))
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255}, uint8(2), uint8(2))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 9, 0, 0, 7, 0, 0, 0, 0, 0, 5}, uint8(2), uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, lanesRaw, pIdx uint8) {
 		lanes := 2 + int(lanesRaw%15) // 2..16
 		if len(raw) == 0 {
@@ -30,7 +31,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 			}
 		}
 		flt := NewFilter(lanes, steps, w, nil)
-		patterns := []Pattern{L(1, 2), L(2, 5), T(2, 5), T(1, 6)}
+		patterns := []Pattern{L(1, 2), L(2, 5), L(6, 1), T(2, 5), T(1, 6), X()}
 		p := patterns[int(pIdx)%len(patterns)]
 		for _, alg := range []Algorithm{Algorithm1, GreedySimple, Matching} {
 			s := ScheduleFilter(flt, p, alg)

@@ -113,6 +113,7 @@ func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, la
 // arbitrary promotion compacts each filter to ⌈nnz/L⌉ columns and the
 // group pads to the slowest filter.
 func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
+	checkInfiniteSpan(lanes, steps)
 	nf := len(filters)
 	maxCols := 0
 	for _, f := range filters {
@@ -142,7 +143,7 @@ func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
 				}
 				c, dl := k/lanes, k%lanes
 				head := min(c, steps-1)
-				ents[c*lanes+dl] = Entry{Weight: w, SrcStep: st, SrcLane: ln, Dt: st - head, Dl: ln - dl}
+				ents[c*lanes+dl] = Entry{Weight: w, Dt: int16(st - head), Dl: int16(ln - dl)}
 				k++
 			}
 		}
@@ -160,6 +161,21 @@ func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
 		}
 	}
 	return maxCols
+}
+
+// maxInfiniteSpan bounds the X<inf,15> geometry. Its promotions reach
+// up to Steps-1 dense steps ahead and Lanes-1 lanes aside, and Entry
+// stores both offsets as int16. The largest real layer is about 1,568
+// steps (VGG fc6 at 16 lanes).
+const maxInfiniteSpan = 1 << 15
+
+// checkInfiniteSpan panics, like NewFilter on bad geometry, when an
+// X<inf,15> offset could overflow Entry's int16 fields.
+func checkInfiniteSpan(lanes, steps int) {
+	if steps > maxInfiniteSpan || lanes > maxInfiniteSpan {
+		panic(fmt.Sprintf("sched: X<inf,15> supports at most %d steps and lanes (int16 entry offsets), got %d steps × %d lanes",
+			maxInfiniteSpan, steps, lanes))
+	}
 }
 
 // runKernel is the optimized scheduling kernel proper: it fills the
@@ -404,7 +420,7 @@ func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPendin
 	executed := 0
 	take := func(lane, srcStep, srcLane, dt, dl int) {
 		pos := srcStep*lanes + srcLane
-		entries[lane] = Entry{Weight: f.W[pos], SrcStep: srcStep, SrcLane: srcLane, Dt: dt, Dl: dl}
+		entries[lane] = Entry{Weight: f.W[pos], Dt: int16(dt), Dl: int16(dl)}
 		done[pos] = true
 		stepPending[srcStep]--
 		executed++
@@ -542,7 +558,18 @@ func (s *Scheduler) augment(ln, lanes int) bool {
 	return false
 }
 
+// wrapLane reduces a lane index modulo lanes into [0, lanes). Every
+// pattern in the design space keeps |Dl| < lanes, so lane+Dl lies in
+// (-lanes, 2*lanes) and one compare-and-add wraps it; % is the fallback.
 func wrapLane(v, lanes int) int {
+	if v < 0 {
+		v += lanes
+	} else if v >= lanes {
+		v -= lanes
+	}
+	if uint(v) < uint(lanes) {
+		return v
+	}
 	v %= lanes
 	if v < 0 {
 		v += lanes

@@ -16,6 +16,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -67,6 +68,9 @@ func (p Pattern) Validate() error {
 	for _, o := range p.Offsets {
 		if o.Dt < 1 {
 			return fmt.Errorf("sched: %s: offset %+v has Dt < 1 (promotions move earlier only)", p.Name, o)
+		}
+		if o.Dt > math.MaxInt16 || o.Dl < math.MinInt16 || o.Dl > math.MaxInt16 {
+			return fmt.Errorf("sched: %s: offset %+v exceeds the int16 range of a schedule entry", p.Name, o)
 		}
 		if o.Dt > p.H {
 			return fmt.Errorf("sched: %s: offset %+v exceeds lookahead depth %d", p.Name, o, p.H)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestFigure1LookaheadOnly(t *testing.T) {
 	// Cycle 1 must promote w²₂ into lane 2 and then advance two steps.
 	col := s.Columns[1]
 	e := col.Entries[2]
-	if e.SrcStep != 2 || e.SrcLane != 2 || e.Dt != 1 {
+	if st, ln := e.Src(col.Head, 2, 4); st != 2 || ln != 2 || e.Dt != 1 {
 		t.Errorf("cycle 1 lane 2 = %+v, want promotion of (2,2)", e)
 	}
 	if col.Advance != 2 {
@@ -54,7 +55,7 @@ func TestFigure2Lookahead1Lookaside1(t *testing.T) {
 		t.Fatalf("schedule = %d columns, paper shows the minimum 2", s.Len())
 	}
 	e := s.Columns[0].Entries[2]
-	if e.SrcStep != 1 || e.SrcLane != 1 {
+	if st, ln := e.Src(s.Columns[0].Head, 2, 4); st != 1 || ln != 1 {
 		t.Errorf("cycle 0 lane 2 = %+v, want steal of (1,1)", e)
 	}
 	if s.Columns[0].Advance != 2 {
@@ -294,7 +295,8 @@ func TestSchedulerFillsPadding(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("schedule = %d columns, want 1 (promotion into padding)", s.Len())
 	}
-	if e := s.Columns[0].Entries[3]; e.SrcStep != 1 || e.SrcLane != 3 {
+	e := s.Columns[0].Entries[3]
+	if st, ln := e.Src(s.Columns[0].Head, 3, 4); st != 1 || ln != 3 {
 		t.Errorf("lane 3 entry = %+v, want promotion of (1,3)", e)
 	}
 }
@@ -339,6 +341,18 @@ func TestPatternValidate(t *testing.T) {
 	dup := Pattern{Name: "dup", H: 1, Offsets: []Offset{{Dt: 1}, {Dt: 1}}}
 	if dup.Validate() == nil {
 		t.Error("Validate accepted duplicate offsets")
+	}
+	// Entry stores offsets as int16: wider ones must be rejected, not
+	// truncated.
+	for _, o := range []Offset{{Dt: 1 << 15}, {Dt: 1, Dl: 1 << 15}, {Dt: 1, Dl: -1<<15 - 1}} {
+		wide := Pattern{Name: "wide", H: 1 << 20, Offsets: []Offset{o}}
+		if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "int16") {
+			t.Errorf("Validate(%+v) = %v, want an int16 range error", o, err)
+		}
+	}
+	edge := Pattern{Name: "edge", H: 1<<15 - 1, Offsets: []Offset{{Dt: 1<<15 - 1, Dl: -1 << 15}}}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("Validate rejected an offset at the int16 bounds: %v", err)
 	}
 }
 

@@ -45,16 +45,29 @@ func (f Filter) NNZ() int {
 	return n
 }
 
-// Entry is one lane's work in one schedule column. A zero Weight means the
-// lane idles that column.
+// Entry is one lane's work in one schedule column, stored the way the
+// weight scratchpad stores it (internal/wsformat): the weight plus the
+// promotion offset that drives the lane's activation multiplexer. A zero
+// Weight means the lane idles that column.
+//
+// The entry is 8 bytes. The weight's dense-schedule position is not
+// stored: it follows from the offset and the entry's place in the
+// schedule (Src), exactly as the hardware derives it from the mux select.
 type Entry struct {
 	Weight int32
-	// SrcStep, SrcLane locate the weight in the dense schedule; the paired
-	// activation at runtime is the one for that dense position.
-	SrcStep, SrcLane int
 	// Dt, Dl record the promotion offset used ((0,0) for in-place
-	// execution); they index the lane's activation multiplexer.
-	Dt, Dl int
+	// execution); they index the lane's activation multiplexer. Every
+	// producer range-checks them before narrowing: Pattern.Validate bounds
+	// pattern offsets, and the X<inf,15> path bounds the filter geometry.
+	Dt, Dl int16
+}
+
+// Src locates the entry's weight in the dense schedule when the entry sits
+// on lane of a column whose window head is head: (head+Dt, lane+Dl mod
+// lanes). The paired activation at runtime is the one for that dense
+// position.
+func (e Entry) Src(head, lane, lanes int) (step, srcLane int) {
+	return head + int(e.Dt), wrapLane(lane+int(e.Dl), lanes)
 }
 
 // Column is one schedule step emitted by the scheduler: what each lane
@@ -152,6 +165,10 @@ func (s *Schedule) Stats(f Filter) Stats {
 // of the pattern; promoted weights stay inside the lookahead window; lanes
 // hold at most one weight per column; the ALC advances monotonically and
 // never abandons unexecuted weights; column count never exceeds dense steps.
+// Each entry's source position is derived from its offset (Entry.Src) and
+// must lie inside the dense schedule, so a corrupt offset is an error, not
+// an index panic. An in-place entry references its own (head, lane) slot by
+// construction.
 func Verify(f Filter, p Pattern, s *Schedule) error {
 	if s.Lanes != f.Lanes || s.DenseSteps != f.Steps {
 		return fmt.Errorf("sched: verify: geometry mismatch")
@@ -180,37 +197,27 @@ func Verify(f Filter, p Pattern, s *Schedule) error {
 			if e.Weight == 0 {
 				continue
 			}
-			pos := e.SrcStep*f.Lanes + e.SrcLane
+			step, srcLane := e.Src(col.Head, lane, f.Lanes)
+			if step < 0 || step >= f.Steps {
+				return fmt.Errorf("sched: verify: column %d lane %d: offset (%d,%d) at head %d reaches step %d outside the %d dense steps",
+					ci, lane, e.Dt, e.Dl, col.Head, step, f.Steps)
+			}
+			pos := step*f.Lanes + srcLane
 			if f.W[pos] != e.Weight {
 				return fmt.Errorf("sched: verify: column %d lane %d claims weight %d at (%d,%d) but dense holds %d",
-					ci, lane, e.Weight, e.SrcStep, e.SrcLane, f.W[pos])
+					ci, lane, e.Weight, step, srcLane, f.W[pos])
 			}
 			if seen[pos] {
-				return fmt.Errorf("sched: verify: weight at (%d,%d) scheduled twice", e.SrcStep, e.SrcLane)
+				return fmt.Errorf("sched: verify: weight at (%d,%d) scheduled twice", step, srcLane)
 			}
 			seen[pos] = true
-			if p.Infinite {
+			if p.Infinite || (e.Dt == 0 && e.Dl == 0) {
 				continue
 			}
-			if e.Dt == 0 && e.Dl == 0 {
-				if e.SrcStep != col.Head || e.SrcLane != lane {
-					return fmt.Errorf("sched: verify: stay entry at column %d lane %d references (%d,%d)",
-						ci, lane, e.SrcStep, e.SrcLane)
-				}
-				continue
-			}
-			if !edge[Offset{Dt: e.Dt, Dl: e.Dl}] {
+			if !edge[Offset{Dt: int(e.Dt), Dl: int(e.Dl)}] {
 				return fmt.Errorf("sched: verify: promotion (%d,%d) not in pattern %s", e.Dt, e.Dl, p.Name)
 			}
-			if e.SrcStep != col.Head+e.Dt {
-				return fmt.Errorf("sched: verify: entry dt %d inconsistent with src step %d at head %d",
-					e.Dt, e.SrcStep, col.Head)
-			}
-			if want := ((lane+e.Dl)%f.Lanes + f.Lanes) % f.Lanes; e.SrcLane != want {
-				return fmt.Errorf("sched: verify: entry dl %d inconsistent with src lane %d (lane %d)",
-					e.Dl, e.SrcLane, lane)
-			}
-			if e.Dt > p.H {
+			if int(e.Dt) > p.H {
 				return fmt.Errorf("sched: verify: promotion depth %d exceeds window %d", e.Dt, p.H)
 			}
 		}

@@ -27,10 +27,12 @@ type schedSlab struct {
 	ptrs []*Schedule
 }
 
-// Chunk sizes, in elements. Entries dominate the footprint (a 16-filter
-// group of a mid-size layer is tens of thousands of entries), so their
-// chunk is the largest; the metadata chunks are sized so all four run
-// out at roughly the same fill count.
+// Chunk sizes, in elements. Entries dominate the footprint even at
+// 8 bytes each: a 16-lane column carries 128 bytes of entries against a
+// 40-byte column header, and a 16-filter group of a mid-size layer is tens
+// of thousands of entries. Their chunk is the largest (256 KiB); the
+// metadata chunks are sized so all four run out at roughly the same fill
+// count.
 const (
 	slabEntChunk = 1 << 15
 	slabColChunk = 1 << 12

@@ -55,18 +55,19 @@ func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
 }
 
 // executePsum accumulates one output through the modeled datapath: the WSU
-// selects each entry's activation by its (SrcStep, SrcLane) mux setting;
+// selects each entry's activation by its mux setting (Entry.Src);
 // the back-end forms the product through its own arithmetic — bit-parallel
 // multiply, bit-serial AND-adds (TCLp), Booth shift-adds (TCLe), or
 // whatever the registered Backend's MAC models.
 func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int) int64 {
 	var psum int64
 	for _, col := range s.Columns {
-		for _, e := range col.Entries {
+		for ln, e := range col.Entries {
 			if e.Weight == 0 {
 				continue
 			}
-			a := lw.Act(f, win, e.SrcStep, e.SrcLane)
+			st, sl := e.Src(col.Head, ln, s.Lanes)
+			a := lw.Act(f, win, st, sl)
 			psum += cfg.Backend.MAC(e.Weight, a, cfg.Width)
 		}
 	}

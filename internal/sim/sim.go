@@ -716,7 +716,8 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 					fe.Slots[sched.SlotLookaside]++
 				}
 				if refs != nil {
-					refs[ln] = int32(e.SrcStep*lanes + e.SrcLane)
+					st, sl := e.Src(col.Head, ln, lanes)
+					refs[ln] = int32(st*lanes + sl)
 					eff[ln>>3] |= 0xff << (8 * uint(ln&7))
 				}
 			}

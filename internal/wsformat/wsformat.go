@@ -43,12 +43,12 @@ type Image struct {
 }
 
 // selIndex maps a schedule entry to its mux input index under the pattern.
-func selIndex(p sched.Pattern, e sched.Entry, head, lane, lanes int) (int, error) {
+func selIndex(p sched.Pattern, e sched.Entry) (int, error) {
 	if e.Dt == 0 && e.Dl == 0 {
 		return 0, nil
 	}
 	for i, o := range p.Offsets {
-		if o.Dt == e.Dt && o.Dl == e.Dl {
+		if o.Dt == int(e.Dt) && o.Dl == int(e.Dl) {
 			return i + 1, nil
 		}
 	}
@@ -112,12 +112,12 @@ func Encode(p sched.Pattern, s *sched.Schedule, w fixed.Width) ([]byte, error) {
 		} else {
 			bw.WriteBits(uint32(col.Advance), ab)
 		}
-		for ln, e := range col.Entries {
+		for _, e := range col.Entries {
 			bw.WriteBits(uint32(e.Weight)&w.Mask(), int(w))
 			sel := 0
 			if e.Weight != 0 {
 				var err error
-				sel, err = selIndex(p, e, col.Head, ln, s.Lanes)
+				sel, err = selIndex(p, e)
 				if err != nil {
 					return nil, err
 				}
@@ -139,6 +139,9 @@ func Decode(buf []byte, p sched.Pattern) (*Image, error) {
 	}
 	if buf[4] != Version {
 		return nil, fmt.Errorf("wsformat: version %d unsupported", buf[4])
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	lanes := int(buf[5])
 	w := fixed.Width(buf[6])
@@ -185,17 +188,13 @@ func Decode(buf []byte, p sched.Pattern) (*Image, error) {
 				col.Entries[ln] = sched.Entry{}
 				continue
 			}
-			e := sched.Entry{Weight: weight}
-			if sel == 0 {
-				e.SrcStep, e.SrcLane = head, ln
-			} else {
+			e := sched.Entry{Weight: weight} // select 0: in place
+			if sel != 0 {
 				if int(sel) > len(p.Offsets) {
 					return nil, fmt.Errorf("wsformat: select %d out of range", sel)
 				}
 				o := p.Offsets[sel-1]
-				e.Dt, e.Dl = o.Dt, o.Dl
-				e.SrcStep = head + o.Dt
-				e.SrcLane = ((ln+o.Dl)%lanes + lanes) % lanes
+				e.Dt, e.Dl = int16(o.Dt), int16(o.Dl)
 			}
 			col.Entries[ln] = e
 		}
@@ -212,7 +211,8 @@ func signExtend(raw uint32, w fixed.Width) int32 {
 
 // RoundTrip encodes and decodes a schedule and verifies the reconstruction
 // matches entry-for-entry (columns whose saturated ALC was repaired by the
-// decoder's head tracking included).
+// decoder's head tracking included). Whole entries compare: the image
+// encodes exactly an entry's Weight, Dt and Dl.
 func RoundTrip(p sched.Pattern, s *sched.Schedule, w fixed.Width) error {
 	buf, err := Encode(p, s, w)
 	if err != nil {
@@ -233,8 +233,7 @@ func RoundTrip(p sched.Pattern, s *sched.Schedule, w fixed.Width) error {
 		}
 		for ln := range a.Entries {
 			ea, eb := a.Entries[ln], b.Entries[ln]
-			if ea.Weight != eb.Weight || (ea.Weight != 0 &&
-				(ea.SrcStep != eb.SrcStep || ea.SrcLane != eb.SrcLane)) {
+			if ea != eb {
 				return fmt.Errorf("wsformat: column %d lane %d entry mismatch: %+v != %+v", ci, ln, eb, ea)
 			}
 		}
