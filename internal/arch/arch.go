@@ -120,10 +120,17 @@ func (c Config) PeakTOPS() float64 {
 	return float64(2*c.PeakMACsPerCycle()) * c.FrequencyGHz / 1e3
 }
 
+// MaxLanes bounds Lanes: the serial back-end's window kernel counts a
+// column's non-zero lanes per window in one byte.
+const MaxLanes = 255
+
 // Validate checks structural sanity.
 func (c Config) Validate() error {
 	if c.Tiles <= 0 || c.FiltersPerTile <= 0 || c.Lanes <= 0 || c.WindowsPerTile <= 0 {
 		return fmt.Errorf("arch: %s: non-positive geometry", c.Name)
+	}
+	if c.Lanes > MaxLanes {
+		return fmt.Errorf("arch: %s: %d lanes exceed %d", c.Name, c.Lanes, MaxLanes)
 	}
 	if !c.Width.Valid() {
 		return fmt.Errorf("arch: %s: invalid width %d", c.Name, int(c.Width))

@@ -78,6 +78,15 @@ func TestValidateRejections(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("accepted starved serial tile")
 	}
+	c = NewTCL(sched.T(2, 5), TCLe)
+	c.Lanes = MaxLanes + 1
+	if c.Validate() == nil {
+		t.Error("accepted more lanes than the window kernel counts")
+	}
+	c.Lanes = MaxLanes
+	if err := c.Validate(); err != nil {
+		t.Errorf("rejected MaxLanes lanes: %v", err)
+	}
 	bad := NewTCL(sched.Pattern{Name: "x", H: 1, Offsets: []sched.Offset{{Dt: 9}}}, TCLe)
 	if bad.Validate() == nil {
 		t.Error("accepted invalid pattern")

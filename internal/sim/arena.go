@@ -18,15 +18,15 @@ import (
 //   - groupScratch lives only within one prepareGroup call (weight rows,
 //     the filter headers over them, and the dense-schedule arena for
 //     front-end-less configs). Recycled the moment prepareGroup returns.
-//   - groupBufs lives from prepareGroup to finishGroup (lane refs, SWAR
-//     masks, per-row plane pointers, per-chunk PE totals). Recycled when
-//     the group's last window chunk folds.
+//   - groupBufs lives from prepareGroup to finishGroup (lane refs,
+//     effectual-lane counts, per-row plane pointers, per-chunk PE totals).
+//     Recycled when the group's last window chunk folds.
 //
 // Both recycle through sync.Pools, so steady-state group turnover
 // allocates nothing once the pools have warmed to the largest group
-// shape. Buffers that are rebuilt wholesale (refs, planes, weights) are
-// reused dirty; buffers built incrementally (gated masks with |=, PE
-// totals with +=) are zeroed at carve time.
+// shape. Buffers that are rebuilt wholesale (refs, counts, planes,
+// weights) are reused dirty; the PE totals, built with +=, are zeroed at
+// carve time.
 
 // groupScratch is the transient working set of one prepareGroup call.
 type groupScratch struct {
@@ -49,7 +49,7 @@ var groupScratchPool = sync.Pool{New: func() any { return &groupScratch{} }}
 // groupBufs is the prepare-to-finish working set of one filter group.
 type groupBufs struct {
 	refs     []int32
-	masks    []uint64 // effectual-lane masks (groupCtx.eff)
+	nEff     []int32
 	planes   []*costPlane
 	peTotals []int64
 }
@@ -67,7 +67,7 @@ func (ctx *groupCtx) releaseTo(ws *workerState) {
 		return
 	}
 	ctx.bufs = nil
-	ctx.refs, ctx.eff, ctx.masks, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil, nil
+	ctx.refs, ctx.nEff, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil
 	if ws != nil {
 		ws.putBufs(b)
 	} else {
@@ -194,20 +194,6 @@ func (st *sweepState) carve(nCfgs, nLayers, nAccums, nPartials, nSlots, nItems i
 		st.items = st.items[:0]
 		clear(st.items[:cap(st.items)])
 	}
-}
-
-// fullMasks memoizes the ungated participation mask per lane count: the
-// all-lanes SWAR mask is immutable and identical for every ungated group
-// of a given geometry, so groups share one slice instead of building one
-// each.
-var fullMasks sync.Map // int (lanes) -> []uint64
-
-func fullLaneMaskShared(lanes int) []uint64 {
-	if m, ok := fullMasks.Load(lanes); ok {
-		return m.([]uint64)
-	}
-	m, _ := fullMasks.LoadOrStore(lanes, fullLaneMask(lanes))
-	return m.([]uint64)
 }
 
 // costTableKey identifies a memoized cost table: back-ends ride by

@@ -1,11 +1,20 @@
-// SWAR column-max kernel. Lanes within a PE are lockstep every schedule
-// column (they feed one adder tree), so the back-end's column duration is
-// the maximum serial cost over the PE's participating lanes — the single
-// hottest reduction in the simulator: it runs once per (schedule column, PE
-// row, window). The kernel packs 8 lanes of uint8 costs per uint64 and
-// computes the lane max branch-free with word-parallel byte compares, so a
-// 16-lane tile folds 2 words per column instead of iterating a 16-element
-// byte loop with a data-dependent branch per lane.
+// SWAR window kernel. A Bit-Tactical tile broadcasts one weight column to
+// all of its window columns at once; the simulator mirrors that by
+// evaluating eight windows per machine word. Cost planes store each
+// lane's costs window-innermost (costPlane), so one little-endian uint64
+// load yields one lane's serial cost in eight consecutive windows, and the
+// per-column quantities of the serial back-end become byte-parallel across
+// windows:
+//
+//   - the column max — lanes within a PE are lockstep every schedule
+//     column (they feed one adder tree), so the column lasts as long as
+//     its slowest participating lane — is a byte-wise max (byteMax) folded
+//     over the participating lanes' words and floored at 1: eight column
+//     durations in one word, with no horizontal reduction;
+//   - the lane census needs, per window, each lane class's cost sum and
+//     its count of non-zero lanes, both word-wide adds over the lanes
+//     (foldLanes, countLanes); evalWindows turns them into the Figure-9
+//     buckets.
 //
 // Invariants:
 //
@@ -13,19 +22,21 @@
 //     compare borrows through bit 7 of each byte, so costs must leave the
 //     high bit clear. newCostTable clamps accordingly; real costs never
 //     exceed width+1 <= 17.
-//   - cost slices are zero-padded to a whole number of 8-byte words
-//     (padLanes), and mask bytes are exactly 0x00 (lane excluded) or 0xFF
-//     (lane participates); padding bytes are 0x00.
+//   - at most arch.MaxLanes (255) lanes: per-window non-zero lane counts
+//     accumulate in bytes, and widened cost sums (<= 254 per lane) in
+//     16-bit fields.
+//   - columnMax's cost slices are zero-padded to a whole number of 8-byte
+//     words (padLanes), and its mask bytes are exactly 0x00 (lane
+//     excluded) or 0xFF (lane participates); padding bytes are 0x00.
 //
-// columnMaxScalar is the reference implementation; FuzzColumnMaxSWAR and
-// TestColumnMaxMatchesScalar pin the two bit-identical over random planes
-// and lane counts, including lane counts not divisible by 8.
+// columnMax, the lane-parallel column max (8 lanes of one window per
+// word), is not on the engine path: it is the subject of the tclbench
+// kernel suite (BENCH_kernel.json), pinned against columnMaxScalar by
+// FuzzColumnMaxSWAR and TestColumnMaxMatchesScalar, and the reference
+// walk in the tests calls it.
 package sim
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "encoding/binary"
 
 // maxLaneCost bounds the per-value serial cost stored in cost tables and
 // activation cost planes, keeping bit 7 of every packed byte clear for the
@@ -98,37 +109,83 @@ func ColumnMaxScalar(cost []uint8, mask []uint64) int { return columnMaxScalar(c
 // bit 7 of exactly the non-zero bytes, with no carry between bytes.
 const swarLow7 = 0x7f7f7f7f7f7f7f7f
 
-// nonZeroBytes counts the non-zero bytes of a word of bytes <= 127.
-func nonZeroBytes(x uint64) int {
-	return bits.OnesCount64((x + swarLow7) & swarHigh)
-}
+// swarOnes is 0x01 in every byte: the column-max floor of one cycle in
+// each of eight windows.
+const swarOnes = 0x0101010101010101
+
+// swarPairs selects the even bytes of a word as four 16-bit fields.
+const swarPairs = 0x00ff00ff00ff00ff
 
 // byteSum adds the eight bytes of a word of bytes <= 127. Eight such bytes
 // can sum past 255, so the sum widens first: byte pairs fold into four
 // 16-bit fields (each <= 254), and one multiply gathers their total (<=
 // 1016, so no field overflows) into the top field.
 func byteSum(x uint64) int {
-	const pairs = 0x00ff00ff00ff00ff
-	x = x&pairs + x>>8&pairs
+	x = x&swarPairs + x>>8&swarPairs
 	return int(x * 0x0001000100010001 >> 48)
 }
 
-// maskLanes counts the lanes a 0x00/0xFF byte mask selects.
-func maskLanes(mask []uint64) int {
-	n := 0
-	for _, m := range mask {
-		n += bits.OnesCount64(m)
-	}
-	return n / 8
+// wideSum adds the four 16-bit fields of a word whatever their total:
+// the fields pair into two 32-bit halves first.
+func wideSum(x uint64) int {
+	const halves = 0x0000ffff0000ffff
+	x = x&halves + x>>16&halves
+	return int(x&0xffffffff + x>>32)
 }
 
-// fullLaneMask returns the participation mask with the first `lanes` lanes
-// set — the mask every PE row shares when the config has no front-end
-// (nothing gates ineffectual lanes out of the column sync).
-func fullLaneMask(lanes int) []uint64 {
-	mask := make([]uint64, laneWords(lanes))
-	for ln := 0; ln < lanes; ln++ {
-		mask[ln>>3] |= 0xff << (8 * uint(ln&7))
+// fieldDot is the dot product of the four 16-bit fields of a and b.
+func fieldDot(a, b uint64) int {
+	return int(a&0xffff)*int(b&0xffff) +
+		int(a>>16&0xffff)*int(b>>16&0xffff) +
+		int(a>>32&0xffff)*int(b>>32&0xffff) +
+		int(a>>48)*int(b>>48)
+}
+
+// windowMask selects the low nw bytes of a word: the windows of an
+// nw-window block (1 <= nw <= 8).
+func windowMask(nw int) uint64 { return ^uint64(0) >> (64 - 8*uint(nw)) }
+
+// loadWindows returns plane bytes [i, i+8) as a little-endian word, masked
+// to the block's valid windows. A full block (valid all ones) lies inside
+// its plane row; a partial block can reach past the row, and on the
+// plane's last row past the plane itself — planes carry no load slack — so
+// that word is assembled byte by byte.
+func loadWindows(data []uint8, i int, valid uint64) uint64 {
+	if valid == ^uint64(0) {
+		return binary.LittleEndian.Uint64(data[i:])
 	}
-	return mask
+	if i+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[i:]) & valid
+	}
+	var x uint64
+	for k, c := range data[i:] {
+		x |= uint64(c) << (8 * uint(k))
+	}
+	return x & valid
+}
+
+// foldLanes folds the eight-window block [w, w+8) of the lanes whose plane
+// rows start at refs[i]*W into the running column max pm, and returns
+// with it the lanes' total cost over the block and, per window byte, the
+// number of lanes with non-zero cost.
+func foldLanes(data []uint8, refs []int32, W, w int, valid, pm uint64) (uint64, int, uint64) {
+	var s, nz uint64
+	for _, r := range refs {
+		c := loadWindows(data, int(r)*W+w, valid)
+		pm = byteMax(pm, c)
+		s += c&swarPairs + c>>8&swarPairs
+		nz += (c + swarLow7) & swarHigh >> 7
+	}
+	return pm, wideSum(s), nz
+}
+
+// countLanes is foldLanes for lanes that stay out of the column max and
+// whose cost no bucket needs: it returns only the per-window non-zero
+// lane counts.
+func countLanes(data []uint8, refs []int32, W, w int, valid uint64) uint64 {
+	var nz uint64
+	for _, r := range refs {
+		nz += (loadWindows(data, int(r)*W+w, valid) + swarLow7) & swarHigh >> 7
+	}
+	return nz
 }

@@ -1,5 +1,5 @@
 // Differential tests for the grouped/depthwise plane path: per-act-group
-// cost planes must be bit-identical to the nil-plane reference that
+// cost planes must be bit-identical to the reference walk that
 // re-fetches every cost through lw.Act with the row's own filter index,
 // and the engine must actually take the plane path for row-variant
 // layers (visible through the PlaneCache group counters).
@@ -55,8 +55,8 @@ func groupSerialConfigs() []arch.Config {
 // of TestPlaneMatchesPerRowRecompute: for grouped (2 and 4 groups) and
 // depthwise layers, evalWindows fed per-act-group planes — each row's
 // plane selected by ActGroupOf, built from the group's representative
-// filter — must produce windowPartials identical to the nil-plane
-// reference, for every filter tile, serial back-end (including the
+// filter — must produce windowPartials identical to the reference walk
+// (evalWindowsRef), for every filter tile, serial back-end (including the
 // dstripes-sm plugin), and width.
 func TestGroupedPlaneMatchesPerRowRecompute(t *testing.T) {
 	for _, lw := range []*nn.Lowered{
@@ -85,8 +85,8 @@ func TestGroupedPlaneMatchesPerRowRecompute(t *testing.T) {
 					}
 					rp[ri] = planes[g]
 				}
-				got := ctx.evalWindows(cfg, lw, ct, rp, 0, lw.WindowCount, nil)
-				want := ctx.evalWindows(cfg, lw, ct, nil, 0, lw.WindowCount, nil)
+				got := ctx.evalWindows(cfg, rp, 0, lw.WindowCount, nil)
+				want := ctx.evalWindowsRef(cfg, actCost(lw, ct, f0), 0, lw.WindowCount)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s group [%d,%d): grouped-plane partial differs from per-row recompute",
 						lw.Name, cfg.Name, f0, f1)

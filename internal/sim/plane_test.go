@@ -29,11 +29,11 @@ func serialConfigs() []arch.Config {
 }
 
 // TestPlaneMatchesPerRowRecompute is the differential test of the plane
-// gather: for row-invariant layers, evalWindows with the precomputed plane
-// must produce windowPartials identical to the nil-plane reference path
-// that re-fetches every cost through lw.Act with the row's own filter
-// index — across every filter group, not just the one the plane was built
-// from (the ActRowInvariant guarantee).
+// kernel: for row-invariant layers, evalWindows over the precomputed plane
+// must produce windowPartials identical to the reference walk
+// (evalWindowsRef) that re-fetches every cost through lw.Act with the
+// row's own filter index — across every filter group, not just the one the
+// plane was built from (the ActRowInvariant guarantee).
 func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 	for _, lw := range []*nn.Lowered{
 		testConv(t, 21, 20, 24, 3, 3, 6, 0.6, 0.4),
@@ -57,8 +57,8 @@ func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 				for i := range rp {
 					rp[i] = plane
 				}
-				got := ctx.evalWindows(cfg, lw, ct, rp, 0, lw.WindowCount, nil)
-				want := ctx.evalWindows(cfg, lw, ct, nil, 0, lw.WindowCount, nil)
+				got := ctx.evalWindows(cfg, rp, 0, lw.WindowCount, nil)
+				want := ctx.evalWindowsRef(cfg, actCost(lw, ct, f0), 0, lw.WindowCount)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s group [%d,%d): plane partial differs from per-row recompute\nplane: %+v\nref:   %+v",
 						lw.Name, cfg.Name, f0, f1, got, want)

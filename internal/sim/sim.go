@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -372,7 +371,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		})
 		var wp windowPartial
 		if ga.ctx.needsWindows {
-			wp = ga.ctx.evalWindows(cw.cfg, lw, cw.ct, ga.ctx.rowPlanes, it.w0, it.w1, ga.ctx.peChunk(it.chunk))
+			wp = ga.ctx.evalWindows(cw.cfg, ga.ctx.rowPlanes, it.w0, it.w1, ga.ctx.peChunk(it.chunk))
 		}
 		ga.partials[it.chunk] = wp
 		if ga.remaining.Add(-1) == 0 {
@@ -504,30 +503,22 @@ type groupResult struct {
 // per group (under the groupAccum's Once) and shared read-only by every
 // window chunk of that group. Its grids live in one pooled arena
 // (groupBufs), flattened by (column, row) cell cr = ci*nrows+ri:
-// refs[cr*lanes+ln] is lane ln's activation source in column ci of row
-// ri's schedule, as a step*lanes+lane offset into the dense schedule (and
-// so into a cost plane's window slice) — the promoted weight's dense
-// position for effectual lanes, the window head for idle ones.
+// refs[cr*lanes:(cr+1)*lanes] are the activation sources of the cell's
+// lanes, each a step*lanes+lane offset into the dense schedule (and so the
+// row index of a cost plane) — the promoted weight's dense position for
+// effectual lanes, the window head for idle ones. A cell lists its nEff[cr]
+// effectual lanes first, in lane order, then its idle lanes in reverse
+// lane order: the census and column max depend only on which class a lane
+// is in, not on its position.
 type groupCtx struct {
 	f0, f1       int
 	nrows, cols  int
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
 	refs         []int32
-	// eff holds one packed SWAR lane mask per (column, row) cell at
-	// cr*laneWords(lanes): 0xFF bytes for lanes holding an effectual
-	// weight, 0x00 elsewhere. The census classifies every lane by it.
-	eff []uint64
-	// masks holds the SWAR participation masks of the column max: lanes
-	// that join the column sync. Gated groups (a front-end skips
-	// ineffectual weights) alias eff, one mask per cell (maskStride =
-	// laneWords); gate-free groups let every lane join, so maskStride is 0
-	// and all cells share the memoized all-lanes mask.
-	masks      []uint64
-	maskStride int
+	nEff         []int32
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
-	// rows). Resolved by the engine under the groupAccum Once; nil only on
-	// the differential tests' reference path.
+	// rows). Resolved by the engine under the groupAccum Once.
 	rowPlanes []*costPlane
 	// peTotals is the engine's pre-zeroed per-chunk accumulator arena
 	// (nChunks strides of peStride = nrows*WindowsPerTile); peChunk hands
@@ -640,14 +631,16 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 	}
 	ctx.cols = cols
 
-	mw := laneWords(lanes)
 	if cfg.Serial() {
 		// Serial back-ends: column structure is window-independent; the
 		// census walk below also lays out per-cell lane references and
-		// effectual-lane masks once, shared by every chunk. All grids carve
-		// from one pooled arena: refs and rowPlanes are rebuilt wholesale
-		// (reused dirty); the |=-built masks and +=-folded PE totals are
-		// zeroed at carve.
+		// effectual-lane counts once, shared by every chunk. All grids
+		// carve from one pooled arena: refs, nEff and rowPlanes are rebuilt
+		// wholesale (reused dirty); the +=-folded PE totals are zeroed at
+		// carve.
+		if lanes > arch.MaxLanes {
+			panic(fmt.Sprintf("sim: %d lanes exceed the window kernel's %d", lanes, arch.MaxLanes))
+		}
 		ctx.needsWindows = true
 		ctx.gate = cfg.HasFrontEnd()
 		var b *groupBufs
@@ -659,14 +652,8 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 		ctx.bufs = b
 		b.refs = grow(b.refs, cols*nrows*lanes)
 		ctx.refs = b.refs[:cols*nrows*lanes]
-		b.masks = grow(b.masks, cols*nrows*mw)
-		ctx.eff = b.masks[:cols*nrows*mw]
-		clear(ctx.eff)
-		if ctx.gate {
-			ctx.masks, ctx.maskStride = ctx.eff, mw
-		} else {
-			ctx.masks, ctx.maskStride = fullLaneMaskShared(lanes), 0
-		}
+		b.nEff = grow(b.nEff, cols*nrows)
+		ctx.nEff = b.nEff[:cols*nrows]
 		b.planes = grow(b.planes, nrows)
 		ctx.rowPlanes = b.planes[:nrows]
 		clear(ctx.rowPlanes)
@@ -679,20 +666,19 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 	// One walk over every schedule entry: the front-end slot census
 	// (sched.Schedule.Stats against the layer's pad mask), the effectual
 	// count behind mux selects and MACs, and — serial back-ends — the lane
-	// references and effectual masks.
+	// references, effectual lanes first.
 	fe := &r.frontEnd
 	var effectual int64
 	for ri, s := range schedules {
 		fe.Columns += s.Len()
 		fe.DenseSteps += s.DenseSteps
 		for ci, col := range s.Columns {
+			cr := ci*nrows + ri
 			var refs []int32
-			var eff []uint64
 			if ctx.needsWindows {
-				cr := ci*nrows + ri
 				refs = ctx.refs[cr*lanes : (cr+1)*lanes]
-				eff = ctx.eff[cr*mw : (cr+1)*mw]
 			}
+			nEff, idle := 0, lanes
 			head := col.Head * lanes
 			for ln, e := range col.Entries {
 				if e.Weight == 0 {
@@ -702,7 +688,8 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 						fe.Slots[sched.SlotZero]++
 					}
 					if refs != nil {
-						refs[ln] = int32(head + ln)
+						idle--
+						refs[idle] = int32(head + ln)
 					}
 					continue
 				}
@@ -717,9 +704,12 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 				}
 				if refs != nil {
 					st, sl := e.Src(col.Head, ln, lanes)
-					refs[ln] = int32(st*lanes + sl)
-					eff[ln>>3] |= 0xff << (8 * uint(ln&7))
+					refs[nEff] = int32(st*lanes + sl)
+					nEff++
 				}
+			}
+			if refs != nil {
+				ctx.nEff[cr] = int32(nEff)
 			}
 		}
 	}
@@ -749,8 +739,10 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 	}
 }
 
-// evalWindows walks the serial back-end over the window range [w0, w1) —
-// always whole window groups — and returns the chunk's partial sums.
+// evalWindows walks the serial back-end over the window range [wLo, wHi)
+// — always whole window groups — and returns the chunk's partial sums.
+// planes[ri] is PE row ri's activation cost plane (rows of one act group
+// share a plane).
 //
 // Lanes within a PE are lockstep every column (they feed one adder
 // tree), so a PE's column duration is the max lane cost ("Column
@@ -761,109 +753,79 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 // activations", charged as "Tile Sync"). Each PE grid column owns the
 // windows congruent to its position.
 //
-// Cost evaluation is single-pass: each lane's serial cost lands once per
-// (column, row, window) in laneCost, feeding both the SWAR column-max
-// (columnMax over the group's participation mask) and the word-wide lane
-// census (census, over the cell's effectual mask). When per-row cost planes
-// are supplied, costs are gathered from the row's plane window slice by
-// precomputed flat offset — no Act fetch, no costTable mask, no per-chunk
-// grid build; rows of one act group share a plane, so row-invariant,
-// grouped, and depthwise layers all take this path. planes == nil falls
-// back to fetching each cost through lw.Act with the row's own filter
-// index — the executable reference the plane gather is differentially
-// pinned against.
-func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable, planes []*costPlane, wLo, wHi int, dst []int64) windowPartial {
+// The walk is cell-major and window-minor: for each (column, row) cell it
+// evaluates eight windows per word (see kernel.go). The cell's effectual
+// lanes (refs[:nEff]) fold first, joining the column max pm; the idle
+// lanes join it only when no front-end gates them out. Every bucket is
+// then a word-wide sum over the block, with sumE/sumI the classes' cost
+// sums, nz the per-window count of a class's non-zero lanes, and
+// Σ(nz·pm) their dot product:
+//
+//	Useful     = ΣsumE
+//	ColumnSync = Σ(nzE·pm) − ΣsumE
+//	AZero      = nEff·Σpm − Σ(nzE·pm)
+//	WZero      = Σ(nzI·pm)
+//	BothZero   = (lanes−nEff)·Σpm − Σ(nzI·pm)
+//
+// and serial cycles are ΣsumE, plus ΣsumI when ungated (idle lanes still
+// spend cycles when they join the column). pm's bytes land on their PE
+// grid columns, (w−wLo) mod WindowsPerTile; wLo is a multiple of
+// WindowsPerTile. Every partial is an exact integer sum, so the loop order
+// and any split of the range into chunks leave the result unchanged.
+func (ctx *groupCtx) evalWindows(cfg arch.Config, planes []*costPlane, wLo, wHi int, dst []int64) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	nrows, cols, f0 := ctx.nrows, ctx.cols, ctx.f0
-	mw := laneWords(lanes)
+	nrows, cols, gate := ctx.nrows, ctx.cols, ctx.gate
 	if dst == nil {
 		dst = make([]int64, nrows*wg)
 	}
-	wp := windowPartial{peTotals: dst}
-	// Lane costs live on the stack for every supported geometry; the slice
-	// fallback only fires past 64 lanes. Bytes past `lanes` stay zero.
-	var lcBuf [64]uint8
-	laneCost := lcBuf[:]
-	if n := padLanes(lanes); n <= len(lcBuf) {
-		laneCost = lcBuf[:n]
-	} else {
-		laneCost = make([]uint8, n)
-	}
-	for w0 := wLo; w0 < wHi; w0 += wg {
-		w1 := w0 + wg
-		if w1 > wHi {
-			w1 = wHi
-		}
-		nw := w1 - w0
-		for ci := 0; ci < cols; ci++ {
-			for ri := 0; ri < nrows; ri++ {
-				cr := ci*nrows + ri
-				refs := ctx.refs[cr*lanes : (cr+1)*lanes]
-				eff := ctx.eff[cr*mw : (cr+1)*mw]
-				mask := ctx.masks
-				if ctx.maskStride > 0 {
-					mask = ctx.masks[cr*ctx.maskStride : (cr+1)*ctx.maskStride]
+	var sumE, sumI, dotE, dotI, baseE, baseI int
+	for ci := 0; ci < cols; ci++ {
+		for ri := 0; ri < nrows; ri++ {
+			cr := ci*nrows + ri
+			refs := ctx.refs[cr*lanes : (cr+1)*lanes]
+			nEff := int(ctx.nEff[cr])
+			data, W := planes[ri].data, planes[ri].windows
+			pe := dst[ri*wg : (ri+1)*wg]
+			pos, cellPM := 0, 0
+			for w := wLo; w < wHi; w += 8 {
+				valid := windowMask(min(8, wHi-w))
+				pm, sE, nzE := foldLanes(data, refs[:nEff], W, w, valid, valid&swarOnes)
+				var nzI uint64
+				if gate {
+					nzI = countLanes(data, refs[nEff:], W, w, valid)
+				} else {
+					var sI int
+					pm, sI, nzI = foldLanes(data, refs[nEff:], W, w, valid, pm)
+					sumI += sI
 				}
-				nEff := maskLanes(eff)
-				fIdx := f0 + ri
-				var plane *costPlane
-				if planes != nil {
-					plane = planes[ri]
-				}
-				for wi := 0; wi < nw; wi++ {
-					if plane != nil {
-						g := plane.window(w0 + wi)
-						for ln, flat := range refs {
-							laneCost[ln] = g[flat]
-						}
-					} else {
-						for ln, flat := range refs {
-							st, l := int(flat)/lanes, int(flat)%lanes
-							laneCost[ln] = ct.costU8(lw.Act(fIdx, w0+wi, st, l))
-						}
+				pmLo, pmHi := pm&swarPairs, pm>>8&swarPairs
+				sumE += sE
+				dotE += fieldDot(pmLo, nzE&swarPairs) + fieldDot(pmHi, nzE>>8&swarPairs)
+				dotI += fieldDot(pmLo, nzI&swarPairs) + fieldDot(pmHi, nzI>>8&swarPairs)
+				cellPM += byteSum(pm)
+				// pm is zero past the block's valid windows, so a full
+				// eight-byte scatter is exact.
+				for j := 0; j < 8; j++ {
+					pe[pos] += int64(pm >> (8 * uint(j)) & 0xff)
+					if pos++; pos == wg {
+						pos = 0
 					}
-					peMax := columnMax(laneCost, mask)
-					wp.peTotals[ri*wg+wi] += int64(peMax)
-					wp.census(laneCost, eff, nEff, lanes, peMax, ctx.gate)
 				}
 			}
+			baseE += nEff * cellPM
+			baseI += (lanes - nEff) * cellPM
 		}
 	}
-	return wp
-}
-
-// census folds one PE column's lane census into the partial, word-wide.
-// cost is the column's padLanes-sized lane-cost buffer (zero past lanes,
-// every byte <= maxLaneCost), eff its effectual-lane mask with nEff lanes
-// set, and peMax the column's duration. Per lane, by weight and cost:
-//
-//	effectual, cost c > 0:  Useful += c, ColumnSync += peMax-c, serial += c
-//	effectual, cost 0:      AZero += peMax
-//	idle, cost c > 0:       WZero += peMax (serial += c when ungated)
-//	idle, cost 0:           BothZero += peMax
-//
-// so each bucket needs only a masked byte sum and a count of non-zero
-// bytes on each side of the mask. An ungated config (no front-end) still
-// spends serial cycles on its idle lanes, since they join the column.
-func (wp *windowPartial) census(cost []uint8, eff []uint64, nEff, lanes, peMax int, gate bool) {
-	var sumE, nzE, sumI, nzI int
-	for i, m := range eff {
-		c := binary.LittleEndian.Uint64(cost[i*8:])
-		sumE += byteSum(c & m)
-		nzE += nonZeroBytes(c & m)
-		sumI += byteSum(c &^ m)
-		nzI += nonZeroBytes(c &^ m)
-	}
-	pm := int64(peMax)
-	wp.backEnd.Useful += int64(sumE)
-	wp.backEnd.ColumnSync += int64(nzE)*pm - int64(sumE)
-	wp.backEnd.AZero += int64(nEff-nzE) * pm
-	wp.backEnd.WZero += int64(nzI) * pm
-	wp.backEnd.BothZero += int64(lanes-nEff-nzI) * pm
-	wp.serial += int64(sumE)
+	wp := windowPartial{peTotals: dst, serial: int64(sumE)}
 	if !gate {
 		wp.serial += int64(sumI)
 	}
+	wp.backEnd.Useful = int64(sumE)
+	wp.backEnd.ColumnSync = int64(dotE - sumE)
+	wp.backEnd.AZero = int64(baseE - dotE)
+	wp.backEnd.WZero = int64(dotI)
+	wp.backEnd.BothZero = int64(baseI - dotI)
+	return wp
 }
 
 // finishGroup folds the chunk partials into the group's result shard. The
